@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
     support::Rng rng(static_cast<std::uint64_t>(args.get_int("seed")));
     const auto problem = bench::make_instance(family, n, rng);
     core::SublinearOptions options;
+    options.engine = core::EngineKind::kReference;  // keeps the ledger
     core::SublinearSolver solver(options);
     const auto result = solver.solve(*problem);
     const auto& costs = solver.machine().costs();

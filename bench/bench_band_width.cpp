@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
       core::SublinearOptions options;
       options.band_width = band;
       options.termination = core::TerminationMode::kFixedBound;
+      options.engine = core::EngineKind::kReference;  // keeps the ledger
       core::SublinearSolver solver(options);
       const auto result = solver.solve(*problem);
       const bool correct = result.cost == optimal;

@@ -39,6 +39,7 @@ int main(int argc, char** argv) {
 
       core::SublinearOptions options;
       options.termination = core::TerminationMode::kFixedBound;
+      options.engine = core::EngineKind::kReference;  // keeps the ledger
       core::SublinearSolver solver(options);
       (void)solver.solve(table_problem);
       const auto& main_costs = solver.machine().costs();

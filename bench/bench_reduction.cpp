@@ -71,6 +71,7 @@ int main(int argc, char** argv) {
 
     core::SublinearOptions banded_opts;
     banded_opts.termination = core::TerminationMode::kFixedBound;
+    banded_opts.engine = core::EngineKind::kReference;  // keeps the ledger
     core::SublinearSolver banded(banded_opts);
     const auto banded_result = banded.solve(problem);
     const std::size_t banded_cells = banded.pw_cell_count();
@@ -82,6 +83,7 @@ int main(int argc, char** argv) {
       core::SublinearOptions dense_opts;
       dense_opts.variant = core::PwVariant::kDense;
       dense_opts.termination = core::TerminationMode::kFixedBound;
+      dense_opts.engine = core::EngineKind::kReference;
       core::SublinearSolver dense(dense_opts);
       const auto dense_result = dense.solve(problem);
       same = dense_result.w == banded_result.w ? "yes" : "NO";

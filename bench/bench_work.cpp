@@ -31,6 +31,7 @@ std::uint64_t sublinear_work(const dp::Problem& problem,
   core::SublinearOptions options;
   options.variant = variant;
   options.square_mode = square_mode;
+  options.engine = core::EngineKind::kReference;  // keeps the ledger
   options.termination = core::TerminationMode::kFixedBound;
   if (square_mode == core::SquareMode::kRytterFull) {
     options.termination = core::TerminationMode::kFixedPoint;

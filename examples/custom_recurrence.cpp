@@ -43,7 +43,9 @@ int main(int argc, char** argv) {
         return prefix[j] - prefix[i];
       });
 
-  const auto solution = subdp::core::solve(problem);
+  subdp::core::SublinearOptions counted;  // keep the PRAM ledger
+  counted.engine = subdp::core::EngineKind::kReference;
+  const auto solution = subdp::core::solve(problem, counted);
   const auto total =
       std::accumulate(run_length.begin(), run_length.end(), subdp::Cost{0});
   std::printf("%zu runs, %lld elements total\n", n,

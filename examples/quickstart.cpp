@@ -63,7 +63,11 @@ int main() {
   const subdp::dp::MatrixChainProblem problem(
       {30, 35, 15, 5, 10, 20, 25});
 
-  const subdp::core::Solution solution = subdp::core::solve(problem);
+  // The reference engine keeps the paper's PRAM work/depth ledger; the
+  // default fast engine gives the same answer without it.
+  subdp::core::SublinearOptions counted;
+  counted.engine = subdp::core::EngineKind::kReference;
+  const subdp::core::Solution solution = subdp::core::solve(problem, counted);
 
   std::printf("subdp quickstart: optimal matrix-chain multiplication\n");
   std::printf("  chain           : 6 matrices, dims 30x35 ... 20x25\n");

@@ -41,8 +41,10 @@ struct Solution {
   std::size_t iterations = 0;          ///< Iterations the solver ran.
   std::size_t iteration_bound = 0;     ///< The `2*ceil(sqrt n)` schedule.
   bool reached_fixed_point = false;
-  std::uint64_t pram_work = 0;         ///< Total PRAM operations.
-  std::uint64_t pram_depth = 0;        ///< Total PRAM parallel time.
+  /// Total PRAM operations and parallel time; 0 unless
+  /// `engine == EngineKind::kReference`.
+  std::uint64_t pram_work = 0;
+  std::uint64_t pram_depth = 0;
 };
 
 /// Solves `problem` with the paper's algorithm (banded layout, fixed-point

@@ -18,35 +18,35 @@
 ///   a-pebble (eq. 3):
 ///     w'(i,j) <- min over stored gaps (p,q): pw'(i,j,p,q) + w'(p,q)
 ///
-/// Synchronous CREW semantics and the write-log scheme
-/// ---------------------------------------------------
+/// Two engines: `SublinearOptions::engine`
+/// ---------------------------------------
 /// a-square and a-pebble both read and write the same array, so every read
 /// within a step must observe the *previous* step's state regardless of
-/// execution backend. Instead of double-buffering (a full table copy per
-/// step — the dominant memcpy of the seed engine), the step records a
-/// write log of `(cell, new value)` pairs while scanning and applies it
-/// only after the step's barrier: reads during the step see pre-step
-/// state by construction, and since each cell is written by exactly one
-/// logical processor per step (owner-computes, CREW), the apply order is
-/// immaterial. The log doubles as the change count and — for a-pebble —
-/// as the next iteration's frontier. a-activate writes cells nobody reads
-/// within the step and updates in place, as before. Setting
-/// `SublinearOptions::delta_buffering = false` restores the reference
-/// copy-and-swap stepping (bit-identical results; the equivalence tests
-/// compare the two).
+/// execution backend. The two `EngineKind`s keep that rule differently:
+///  * `kReference` double-buffers: each step copies the table, writes the
+///    copy and swaps. Every macro-step is a full sweep through
+///    `Machine::step` (`std::function` body) with per-processor op counts
+///    and `note_write` conformance reports — exactly the paper's
+///    accounting. It is the only engine that charges the PRAM ledger and
+///    accepts `check_crew`, and the oracle the equivalence tests compare
+///    the fast engine against.
+///  * `kFast` (the default) records a write log of `(cell, new value)`
+///    pairs while scanning and applies it only after the step's barrier:
+///    reads during the step see pre-step state by construction, and since
+///    each cell is written by exactly one logical processor per step
+///    (owner-computes, CREW), the apply order is immaterial. The log
+///    doubles as the change count and — for a-pebble — as the next
+///    iteration's frontier. Steps run through `Machine::run_blocks`
+///    (templated body) with the per-cell kernels instantiated with
+///    `Instr = false`, so op counting and `note_write` compile down to
+///    nothing and the kernel inlines into the worker loop.
+/// a-activate writes cells nobody reads within the step and updates in
+/// place on both engines.
 ///
 /// Performance architecture
 /// ------------------------
-/// Each macro-step runs on one of two paths:
-///  * the *instrumented* path (`Machine::step`, `std::function` body) when
-///    the cost ledger or the CREW checker is on — per-processor op counts
-///    and `note_write` conformance reports, exactly the paper's
-///    accounting; and
-///  * the *fast* path (`Machine::run_blocks`, templated body) otherwise —
-///    the per-cell kernels below are instantiated with `Instr = false`,
-///    so op counting and `note_write` compile down to nothing and the
-///    kernel inlines into the worker loop.
-/// On the fast path, the sweeps are additionally *frontier-driven*:
+/// On the fast engine the sweeps are additionally *frontier-driven*
+/// (except under the windowed pebble schedule, which runs full sweeps):
 ///  * a-activate re-evaluates only the sites reading a `w(i,j)` the last
 ///    pebble moved (falling back to the full sweep when that frontier is
 ///    dense);
@@ -72,15 +72,13 @@
 /// Monotonicity of both tables makes every skipped site provably a no-op
 /// (its candidates are unchanged and were already min-applied), so
 /// results, change counts and iteration schedules are identical to full
-/// sweeps — the equivalence tests verify this per iteration. Checked /
-/// instrumented runs always use full sweeps, keeping the cost ledger
-/// unchanged.
+/// sweeps — the equivalence tests verify this per iteration.
 ///
 /// Storage policy and the in-band read path
 /// ----------------------------------------
 /// `Table` must model `core::PwStoragePolicy` (pw_layout.hpp): the kernels
 /// below are instantiated once per layout with that layout's addressing
-/// inlined, not dispatched per call. On the fast path the HLV square scan
+/// inlined, not dispatched per call. On the fast engine the HLV square scan
 /// (`square_scan_fast`) exploits a structural fact: every candidate
 /// operand of an in-band target is itself in band (first operands share
 /// the target's root with strictly smaller slack; second operands `(r,q,
@@ -94,9 +92,8 @@
 /// the layout emits every stored gap of a root as arithmetic-progression
 /// runs over raw `pw` slots paired with strided `w` slots (`PwGapRun`),
 /// so `pebble_scan_fast` is a pointer walk with no per-read addressing
-/// branches. `SublinearOptions::pebble_cursor` / `incremental_marks`
-/// select the reference implementations of these two mechanisms for the
-/// equivalence tests.
+/// branches. The reference engine reads every operand through `get` /
+/// `for_each_gap`.
 
 #include <algorithm>
 #include <atomic>
@@ -179,7 +176,7 @@ struct EngineShape {
   ShapeArray<Pair> pairs;
   /// Prefix offsets addressing a window of lengths in `pairs`.
   ShapeArray<std::size_t> pairs_offset_by_length;
-  /// Storage slot per square entry (delta-buffered write-log apply).
+  /// Storage slot per square entry (fast-engine write-log apply).
   ShapeArray<std::uint32_t> entry_slots;
   /// Per-root runs of the entry list (root-major square sweep).
   ShapeArray<RootBlock> root_blocks;
@@ -219,7 +216,7 @@ struct EngineShape {
     const auto& quads = shape->layout->entries();
     std::vector<std::uint32_t> entry_slots;
     std::vector<RootBlock> blocks;
-    if (options.delta_buffering) {
+    if (options.engine == EngineKind::kFast) {
       SUBDP_REQUIRE(shape->layout->cell_count() <= UINT32_MAX,
                     "pw table too large for 32-bit write-log slots");
       entry_slots.reserve(quads.size());
@@ -292,7 +289,7 @@ struct EngineShape {
                   "snapshot split-site total disagrees with n");
 
     const std::size_t quad_count = shape->layout->entries().size();
-    if (options.delta_buffering) {
+    if (options.engine == EngineKind::kFast) {
       SUBDP_REQUIRE(shape->layout->cell_count() <= UINT32_MAX,
                     "pw table too large for 32-bit write-log slots");
       SUBDP_REQUIRE(entry_slots.size() == quad_count,
@@ -307,8 +304,8 @@ struct EngineShape {
                     "snapshot root-block runs do not cover the entry list");
     } else {
       SUBDP_REQUIRE(entry_slots.empty() && root_blocks.empty(),
-                    "snapshot carries delta-buffering arrays the options "
-                    "do not use");
+                    "snapshot carries write-log arrays the reference "
+                    "engine does not use");
     }
 
     shape->pairs = std::move(pairs);
@@ -334,7 +331,7 @@ class Engine final : public IEngine {
         options_(options),
         machine_(machine),
         n_(shape_->n),
-        delta_(options.delta_buffering),
+        fast_(options.engine == EngineKind::kFast),
         pw_(shape_->layout),
         w_(n_ + 1, n_ + 1, kInfinity),
         pairs_(shape_->pairs),
@@ -343,14 +340,13 @@ class Engine final : public IEngine {
         root_blocks_(shape_->root_blocks),
         total_split_sites_(shape_->total_split_sites) {
     SUBDP_ASSERT(problem.size() == n_);
-    if (!delta_) {
-      pw_next_.emplace(shape_->layout);
-    } else {
+    if (fast_) {
       pw_log_.resize(pw_.entries().size());
       w_log_.resize(pairs_.size());
+    } else {
+      pw_next_.emplace(shape_->layout);
     }
-    frontier_enabled_ = delta_ && options_.frontier_sweeps &&
-                        !options_.windowed_pebble && !machine_.instrumented();
+    frontier_enabled_ = fast_ && !options_.windowed_pebble;
     profile_ = options_.profile;
     if (frontier_enabled_) {
       // Value-initialised (zeroed) atomic flag arrays.
@@ -475,7 +471,7 @@ class Engine final : public IEngine {
     for (std::size_t i = 0; i < n_; ++i) {
       w_(i, i + 1) = problem.init(i);
     }
-    if (!delta_) w_next_ = w_;
+    if (!fast_) w_next_ = w_;
     if (frontier_enabled_) {
       if (!fresh_tables) {
         for (std::size_t k = 0; k < pairs_.size(); ++k) {
@@ -524,7 +520,7 @@ class Engine final : public IEngine {
   // ---- Per-cell kernels --------------------------------------------------
   // Templated on `Instr`: with Instr = false, op counting and CREW
   // reporting vanish at compile time and the kernel inlines into the
-  // worker loop of the fast path.
+  // worker loop of the fast engine.
 
   /// Full a-activate scan of one pair: both eq. 1a/1b targets for every
   /// split `k`. In-place writes (activate targets are read by nobody
@@ -605,7 +601,7 @@ class Engine final : public IEngine {
     return best;
   }
 
-  /// Fast-path HLV candidate scan: same candidate set, arithmetic and
+  /// Fast-engine HLV candidate scan: same candidate set, arithmetic and
   /// min-fold as `square_scan`, but every operand is read through the
   /// layout's incremental window cursors and unchecked `in_band_slot`
   /// instead of the general `get` (see the file comment for why all
@@ -645,14 +641,13 @@ class Engine final : public IEngine {
     return best;
   }
 
-  /// a-pebble gap scan for one pair; returns the best pebbled cost
-  /// (callers write only if it beats `old_value`).
-  template <bool Instr>
+  /// Reference a-pebble gap scan for one pair; returns the best pebbled
+  /// cost (callers write only if it beats `old_value`).
   Cost pebble_scan(std::size_t i, std::size_t j, Cost old_value,
                    std::uint64_t& ops) {
     Cost best = old_value;
     pw_.for_each_gap(i, j, [&](std::size_t p, std::size_t q) {
-      if constexpr (Instr) ++ops;
+      ++ops;
       const Cost a = pw_.get(i, j, p, q);
       if (!is_finite(a)) return;
       best = sat_min(best, sat_add(a, w_(p, q)));
@@ -660,7 +655,7 @@ class Engine final : public IEngine {
     return best;
   }
 
-  /// Fast-path a-pebble gap scan: same gap set, arithmetic and min-fold
+  /// Fast-engine a-pebble gap scan: same gap set, arithmetic and min-fold
   /// as `pebble_scan`, but the gaps arrive as the layout's
   /// arithmetic-progression `PwGapRun`s — a raw `pw` pointer advanced by
   /// a (possibly decaying) step, paired with a `w` slot advanced by a
@@ -863,7 +858,7 @@ class Engine final : public IEngine {
   /// (`pebble_marks_`) is sparse, from-scratch rebuild when dense or when
   /// no valid grid state exists yet (first pebble, post-reset).
   void update_contained_counts() {
-    if (!options_.incremental_marks || !pebble_grids_valid_) {
+    if (!pebble_grids_valid_) {
       if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
       build_contained_counts();
       pebble_marks_.assign(frontier_.begin(), frontier_.end());
@@ -971,7 +966,7 @@ class Engine final : public IEngine {
   /// `pw_root_moved_` (still set — the square apply clears it later) for
   /// removals.
   void update_square_prefixes() {
-    if (!options_.incremental_marks || !square_grids_valid_) {
+    if (!square_grids_valid_) {
       if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
       build_square_prefixes();
       capture_square_marks();
@@ -1072,7 +1067,7 @@ class Engine final : public IEngine {
       if (use_frontier) return run_activate_frontier();
     }
     std::atomic<std::uint64_t> changed{0};
-    if (machine_.instrumented()) {
+    if (!fast_) {
       machine_.step(
           "a-activate", static_cast<std::int64_t>(pairs_.size()),
           [&](std::int64_t idx) -> std::uint64_t {
@@ -1107,7 +1102,7 @@ class Engine final : public IEngine {
     return changed.load();
   }
 
-  /// Fast-path activate driven by the moved-`w` frontier: each moved
+  /// Fast-engine activate driven by the moved-`w` frontier: each moved
   /// entry (a,b) re-evaluates only the sites that read it — as the right
   /// child of roots (i,b) for i < a (target pw(i,b,i,a)) and as the left
   /// child of roots (a,j) for j > b (target pw(a,j,b,j)). All other
@@ -1154,8 +1149,8 @@ class Engine final : public IEngine {
 
   std::uint64_t run_square() {
     const auto& quads = pw_.entries();
-    if (!delta_) {
-      // Reference mode: full-table copy + swap double-buffering.
+    if (!fast_) {
+      // Reference engine: full-table copy + swap double-buffering.
       std::atomic<std::uint64_t> changed{0};
       pw_next_->copy_from(pw_);
       machine_.step(
@@ -1176,106 +1171,84 @@ class Engine final : public IEngine {
       return changed.load();
     }
 
-    // Delta-buffered: reads see pre-step state because all writes are
-    // deferred to the post-barrier apply below.
+    // Fast engine: reads see pre-step state because all writes are
+    // deferred to the post-barrier apply below. HLV scans run the
+    // unchecked in-band kernel, and — once operand-movement marks exist
+    // (every square after the first) — the sweep is root-major: whole
+    // root blocks are skipped via the containment test, surviving quads
+    // via the O(1) window test.
     pw_log_count_.store(0, std::memory_order_relaxed);
-    if (machine_.instrumented()) {
-      machine_.step(
-          "a-square", static_cast<std::int64_t>(quads.size()),
-          [&](std::int64_t idx) -> std::uint64_t {
-            const Quad t = quads[static_cast<std::size_t>(idx)];
-            const Cost old_value = pw_.get(t.i, t.j, t.p, t.q);
-            std::uint64_t ops = 0;
-            const Cost best = square_scan<true>(t, old_value, ops);
+    const bool hlv = options_.square_mode == SquareMode::kHlvOneLevel;
+    const bool skip_clean = frontier_enabled_ && square_frontier_ready_ && hlv;
+    if (skip_clean) update_square_prefixes();
+    const Cost* raw_read = pw_.raw_cells();
+    const bool prof = prof_ != nullptr;
+    if (prof) prof_->square_quads_total += quads.size();
+    machine_.run_blocks(
+        static_cast<std::int64_t>(quads.size()),
+        [&](std::int64_t lo64, std::int64_t hi64) {
+          const std::size_t lo = static_cast<std::size_t>(lo64);
+          const std::size_t hi = static_cast<std::size_t>(hi64);
+          std::uint64_t ops = 0;
+          const auto scan_one = [&](const Quad& t, std::size_t idx) {
+            const Cost old_value = raw_read[entry_slots_[idx]];
+            const Cost best = hlv ? square_scan_fast(t, old_value)
+                                  : square_scan<false>(t, old_value, ops);
             if (best < old_value) {
               pw_log_[pw_log_count_.fetch_add(1, std::memory_order_relaxed)] =
                   Delta{static_cast<std::uint32_t>(idx), best};
-              machine_.note_write(pw_.address(t.i, t.j, t.p, t.q));
             }
-            return ops;
-          });
-    } else {
-      // Fast path: HLV scans run the unchecked in-band kernel, and — once
-      // operand-movement marks exist (every square after the first) — the
-      // sweep is root-major: whole root blocks are skipped via the
-      // containment test, surviving quads via the O(1) window test.
-      const bool hlv = options_.square_mode == SquareMode::kHlvOneLevel;
-      const bool skip_clean =
-          frontier_enabled_ && square_frontier_ready_ && hlv;
-      if (skip_clean) update_square_prefixes();
-      const Cost* raw_read = pw_.raw_cells();
-      const bool prof = prof_ != nullptr;
-      if (prof) prof_->square_quads_total += quads.size();
-      machine_.run_blocks(
-          static_cast<std::int64_t>(quads.size()),
-          [&](std::int64_t lo64, std::int64_t hi64) {
-            const std::size_t lo = static_cast<std::size_t>(lo64);
-            const std::size_t hi = static_cast<std::size_t>(hi64);
-            std::uint64_t ops = 0;
-            const auto scan_one = [&](const Quad& t, std::size_t idx) {
-              const Cost old_value = raw_read[entry_slots_[idx]];
-              const Cost best = hlv ? square_scan_fast(t, old_value)
-                                    : square_scan<false>(t, old_value, ops);
-              if (best < old_value) {
-                pw_log_[pw_log_count_.fetch_add(
-                    1, std::memory_order_relaxed)] =
-                    Delta{static_cast<std::uint32_t>(idx), best};
-              }
-            };
-            if (!skip_clean) {
-              for (std::size_t idx = lo; idx < hi; ++idx) {
-                scan_one(quads[idx], idx);
-              }
-              if (prof) {
-                prof_quads_scanned_.fetch_add(hi - lo,
-                                              std::memory_order_relaxed);
-              }
-              return;
-            }
-            std::uint64_t blocks_scanned = 0, blocks_skipped = 0;
-            std::uint64_t quads_scanned = 0, quads_skipped = 0;
-            std::uint64_t quads_block_skipped = 0;
-            for (std::size_t bi = block_at(lo); bi < root_blocks_.size();
-                 ++bi) {
-              const RootBlock& rb = root_blocks_[bi];
-              if (rb.begin >= hi) break;
-              const std::size_t b = rb.begin < lo ? lo : rb.begin;
-              const std::size_t e = rb.end < hi ? rb.end : hi;
-              if (!root_block_moved(pairs_[rb.pair])) {
-                if (prof) {
-                  ++blocks_skipped;
-                  quads_block_skipped += e > b ? e - b : 0;
-                }
-                continue;
-              }
-              if (prof) ++blocks_scanned;
-              const bool root_moved =
-                  pw_root_moved_[rb.pair].load(std::memory_order_relaxed) !=
-                  0;
-              for (std::size_t idx = b; idx < e; ++idx) {
-                const Quad t = quads[idx];
-                if (!root_moved && !square_window_moved(t)) {
-                  if (prof) ++quads_skipped;
-                  continue;
-                }
-                if (prof) ++quads_scanned;
-                scan_one(t, idx);
-              }
+          };
+          if (!skip_clean) {
+            for (std::size_t idx = lo; idx < hi; ++idx) {
+              scan_one(quads[idx], idx);
             }
             if (prof) {
-              prof_blocks_scanned_.fetch_add(blocks_scanned,
-                                             std::memory_order_relaxed);
-              prof_blocks_skipped_.fetch_add(blocks_skipped,
-                                             std::memory_order_relaxed);
-              prof_quads_scanned_.fetch_add(quads_scanned,
-                                            std::memory_order_relaxed);
-              prof_quads_skipped_.fetch_add(quads_skipped,
-                                            std::memory_order_relaxed);
-              prof_quads_block_skipped_.fetch_add(quads_block_skipped,
-                                                  std::memory_order_relaxed);
+              prof_quads_scanned_.fetch_add(hi - lo, std::memory_order_relaxed);
             }
-          });
-    }
+            return;
+          }
+          std::uint64_t blocks_scanned = 0, blocks_skipped = 0;
+          std::uint64_t quads_scanned = 0, quads_skipped = 0;
+          std::uint64_t quads_block_skipped = 0;
+          for (std::size_t bi = block_at(lo); bi < root_blocks_.size(); ++bi) {
+            const RootBlock& rb = root_blocks_[bi];
+            if (rb.begin >= hi) break;
+            const std::size_t b = rb.begin < lo ? lo : rb.begin;
+            const std::size_t e = rb.end < hi ? rb.end : hi;
+            if (!root_block_moved(pairs_[rb.pair])) {
+              if (prof) {
+                ++blocks_skipped;
+                quads_block_skipped += e > b ? e - b : 0;
+              }
+              continue;
+            }
+            if (prof) ++blocks_scanned;
+            const bool root_moved =
+                pw_root_moved_[rb.pair].load(std::memory_order_relaxed) != 0;
+            for (std::size_t idx = b; idx < e; ++idx) {
+              const Quad t = quads[idx];
+              if (!root_moved && !square_window_moved(t)) {
+                if (prof) ++quads_skipped;
+                continue;
+              }
+              if (prof) ++quads_scanned;
+              scan_one(t, idx);
+            }
+          }
+          if (prof) {
+            prof_blocks_scanned_.fetch_add(blocks_scanned,
+                                           std::memory_order_relaxed);
+            prof_blocks_skipped_.fetch_add(blocks_skipped,
+                                           std::memory_order_relaxed);
+            prof_quads_scanned_.fetch_add(quads_scanned,
+                                          std::memory_order_relaxed);
+            prof_quads_skipped_.fetch_add(quads_skipped,
+                                          std::memory_order_relaxed);
+            prof_quads_block_skipped_.fetch_add(quads_block_skipped,
+                                                std::memory_order_relaxed);
+          }
+        });
     // Apply after the barrier: one write per improved cell, all distinct.
     const std::size_t logged = pw_log_count_.load(std::memory_order_relaxed);
     if (prof_ != nullptr) prof_->pw_log_entries = logged;
@@ -1310,8 +1283,8 @@ class Engine final : public IEngine {
       if (frontier_enabled_) frontier_.clear();
       return 0;
     }
-    if (!delta_) {
-      // Reference mode: full w copy + swap double-buffering.
+    if (!fast_) {
+      // Reference engine: full w copy + swap double-buffering.
       std::atomic<std::uint64_t> changed{0};
       w_next_ = w_;
       machine_.step(
@@ -1320,7 +1293,7 @@ class Engine final : public IEngine {
             const Pair pr = pairs_[w_begin + static_cast<std::size_t>(idx)];
             const Cost old_value = w_(pr.i, pr.j);
             std::uint64_t ops = 0;
-            const Cost best = pebble_scan<true>(pr.i, pr.j, old_value, ops);
+            const Cost best = pebble_scan(pr.i, pr.j, old_value, ops);
             if (best < old_value) {
               w_next_(pr.i, pr.j) = best;
               machine_.note_write(
@@ -1335,70 +1308,46 @@ class Engine final : public IEngine {
     }
 
     w_log_count_.store(0, std::memory_order_relaxed);
-    if (machine_.instrumented()) {
-      machine_.step(
-          "a-pebble", static_cast<std::int64_t>(w_end - w_begin),
-          [&, w_begin = w_begin](std::int64_t idx) -> std::uint64_t {
+    const bool use_frontier = frontier_enabled_;
+    if (use_frontier) update_contained_counts();
+    const bool prof = prof_ != nullptr;
+    if (prof) prof_->pebble_pairs_total += w_end - w_begin;
+    machine_.run_blocks(
+        static_cast<std::int64_t>(w_end - w_begin),
+        [&, w_begin = w_begin](std::int64_t lo, std::int64_t hi) {
+          std::uint64_t pairs_scanned = 0, pairs_skipped = 0;
+          for (std::int64_t idx = lo; idx < hi; ++idx) {
             const std::size_t at = w_begin + static_cast<std::size_t>(idx);
             const Pair pr = pairs_[at];
+            if (use_frontier) {
+              // Skip unless some input moved: a pw entry of this root
+              // (activate/square this iteration, sticky until rescanned)
+              // or the w of a contained gap (last pebble).
+              const bool pw_moved =
+                  root_dirty_[at].load(std::memory_order_relaxed) != 0;
+              if (!pw_moved && !gap_w_moved(pr.i, pr.j)) {
+                if (prof) ++pairs_skipped;
+                continue;
+              }
+              if (pw_moved) {
+                root_dirty_[at].store(0, std::memory_order_relaxed);
+              }
+            }
+            if (prof) ++pairs_scanned;
             const Cost old_value = w_(pr.i, pr.j);
-            std::uint64_t ops = 0;
-            const Cost best = pebble_scan<true>(pr.i, pr.j, old_value, ops);
+            const Cost best = pebble_scan_fast(pr.i, pr.j, old_value);
             if (best < old_value) {
               w_log_[w_log_count_.fetch_add(1, std::memory_order_relaxed)] =
                   Delta{static_cast<std::uint32_t>(at), best};
-              machine_.note_write(
-                  kWAddressTag |
-                  (static_cast<std::uint64_t>(pr.i) * (n_ + 1) + pr.j));
             }
-            return ops;
-          });
-    } else {
-      const bool use_frontier = frontier_enabled_;
-      const bool cursor = options_.pebble_cursor;
-      if (use_frontier) update_contained_counts();
-      const bool prof = prof_ != nullptr;
-      if (prof) prof_->pebble_pairs_total += w_end - w_begin;
-      machine_.run_blocks(
-          static_cast<std::int64_t>(w_end - w_begin),
-          [&, w_begin = w_begin](std::int64_t lo, std::int64_t hi) {
-            std::uint64_t ops = 0;
-            std::uint64_t pairs_scanned = 0, pairs_skipped = 0;
-            for (std::int64_t idx = lo; idx < hi; ++idx) {
-              const std::size_t at = w_begin + static_cast<std::size_t>(idx);
-              const Pair pr = pairs_[at];
-              if (use_frontier) {
-                // Skip unless some input moved: a pw entry of this root
-                // (activate/square this iteration, sticky until rescanned)
-                // or the w of a contained gap (last pebble).
-                const bool pw_moved =
-                    root_dirty_[at].load(std::memory_order_relaxed) != 0;
-                if (!pw_moved && !gap_w_moved(pr.i, pr.j)) {
-                  if (prof) ++pairs_skipped;
-                  continue;
-                }
-                if (pw_moved) {
-                  root_dirty_[at].store(0, std::memory_order_relaxed);
-                }
-              }
-              if (prof) ++pairs_scanned;
-              const Cost old_value = w_(pr.i, pr.j);
-              const Cost best =
-                  cursor ? pebble_scan_fast(pr.i, pr.j, old_value)
-                         : pebble_scan<false>(pr.i, pr.j, old_value, ops);
-              if (best < old_value) {
-                w_log_[w_log_count_.fetch_add(1, std::memory_order_relaxed)] =
-                    Delta{static_cast<std::uint32_t>(at), best};
-              }
-            }
-            if (prof) {
-              prof_pairs_scanned_.fetch_add(pairs_scanned,
-                                            std::memory_order_relaxed);
-              prof_pairs_skipped_.fetch_add(pairs_skipped,
-                                            std::memory_order_relaxed);
-            }
-          });
-    }
+          }
+          if (prof) {
+            prof_pairs_scanned_.fetch_add(pairs_scanned,
+                                          std::memory_order_relaxed);
+            prof_pairs_skipped_.fetch_add(pairs_skipped,
+                                          std::memory_order_relaxed);
+          }
+        });
     // Apply after the barrier; the logged pairs are the next frontier.
     const std::size_t logged = w_log_count_.load(std::memory_order_relaxed);
     if (prof_ != nullptr) prof_->w_log_entries = logged;
@@ -1456,11 +1405,11 @@ class Engine final : public IEngine {
   SublinearOptions options_;
   pram::Machine& machine_;
   std::size_t n_;
-  bool delta_;
+  bool fast_;  ///< `options_.engine == EngineKind::kFast`.
   Table pw_;
-  std::optional<Table> pw_next_;    ///< Reference copy-based mode only.
+  std::optional<Table> pw_next_;    ///< Reference engine only.
   support::Grid2D<Cost> w_;
-  support::Grid2D<Cost> w_next_;    ///< Reference copy-based mode only.
+  support::Grid2D<Cost> w_next_;    ///< Reference engine only.
 
   // Shape-owned geometry — immutable aliases into `*shape_`.
   const ShapeArray<Pair>& pairs_;
@@ -1469,7 +1418,7 @@ class Engine final : public IEngine {
   const ShapeArray<RootBlock>& root_blocks_;      ///< Per-root runs.
   std::uint64_t total_split_sites_ = 0;
 
-  // Delta-buffered stepping state (delta_ == true).
+  // Write-log stepping state (fast engine only).
   std::vector<Delta> pw_log_;
   std::vector<Delta> w_log_;
   std::atomic<std::size_t> pw_log_count_{0};

@@ -20,6 +20,10 @@ std::shared_ptr<SolvePlan> SolvePlan::make_validated(
                 "the windowed pebble schedule requires fixed-bound "
                 "termination (per-iteration change is not a stopping "
                 "signal when most pairs are outside the window)");
+  SUBDP_REQUIRE(!options.machine.check_crew ||
+                    options.engine == EngineKind::kReference,
+                "CREW checking needs the reference engine: the fast "
+                "engine reports no writes (set engine = kReference)");
 
   auto plan = std::shared_ptr<SolvePlan>(new SolvePlan());
   plan->n_ = n;

@@ -51,7 +51,7 @@ class SolvePlan {
   /// shape-dependent state. Throws `std::invalid_argument` on invalid
   /// combinations (n out of the packed-coordinate range, dense layout
   /// above `DensePwTable::kMaxDenseN`, windowed pebble without fixed-bound
-  /// termination).
+  /// termination, `check_crew` on the fast engine).
   [[nodiscard]] static std::shared_ptr<const SolvePlan> create(
       std::size_t n, const SublinearOptions& options = {});
 

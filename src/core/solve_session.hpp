@@ -94,8 +94,8 @@ class SolveSession {
   /// `finish`.
   [[nodiscard]] const std::vector<StepProfile>& step_profile() const;
 
-  /// The PRAM simulator carrying the work/depth ledger and (optionally)
-  /// the CREW conformance checker.
+  /// The PRAM simulator carrying the work/depth ledger (charged by the
+  /// reference engine only) and (optionally) the CREW conformance checker.
   [[nodiscard]] const pram::Machine& machine() const noexcept {
     return *machine_;
   }

@@ -1,7 +1,9 @@
 #pragma once
 
 /// \file solver_types.hpp
-/// Options, traces and results for the sublinear solver.
+/// Options, traces and results for the sublinear solver. The one engine
+/// selector, `SublinearOptions::engine`, defaults to the fast engine; the
+/// PRAM work/depth ledger and CREW checking are the reference engine's.
 
 #include <chrono>
 #include <cstddef>
@@ -62,6 +64,24 @@ enum class TerminationMode {
   return "unknown";
 }
 
+/// Which iteration engine runs the three macro-steps (engine.hpp). Both
+/// produce bit-identical results, iteration counts and per-iteration
+/// change counts; they differ in what they account and how fast they run.
+enum class EngineKind {
+  /// The checked engine: copy-and-swap double buffering, full sweeps,
+  /// per-processor op counts through `Machine::step`. The only engine that
+  /// keeps the PRAM work/depth ledger and accepts `check_crew`.
+  kReference,
+  /// The fast engine: write-log stepping, frontier-driven sweeps, cursor
+  /// scans and incremental mark grids over `Machine::run_blocks`. Keeps no
+  /// ledger.
+  kFast,
+};
+
+[[nodiscard]] constexpr const char* to_string(EngineKind e) noexcept {
+  return e == EngineKind::kReference ? "reference" : "fast";
+}
+
 /// Solver configuration.
 ///
 /// Together with the instance size `n`, an option set keys a `SolvePlan`
@@ -69,7 +89,8 @@ enum class TerminationMode {
 /// across sessions, so option validation happens once per shape —
 /// `SolvePlan::create` rejects invalid combinations (dense layout above
 /// `DensePwTable::kMaxDenseN`, windowed pebble without fixed-bound
-/// termination, `n` beyond the packed-coordinate cap) with a
+/// termination, `check_crew` on the fast engine, `n` beyond the
+/// packed-coordinate cap) with a
 /// `SUBDP_REQUIRE` diagnostic before any instance is touched.
 struct SublinearOptions {
   PwVariant variant = PwVariant::kBanded;
@@ -85,46 +106,24 @@ struct SublinearOptions {
   /// termination (the window makes per-iteration change useless as a
   /// stopping signal).
   bool windowed_pebble = false;
-  /// Hot-path tuning (see the "Performance architecture" notes atop
-  /// engine.hpp). Both default on; turning one off selects the reference
-  /// implementation of that mechanism, which the equivalence tests compare
-  /// against. Neither affects results, iteration counts, or the ledger.
-  ///
-  /// Delta buffering: a-square and a-pebble record `(cell, new value)`
-  /// write logs during the step and apply them after the barrier, instead
-  /// of copying the full table every iteration.
-  bool delta_buffering = true;
-  /// Frontier sweeps: a-activate and a-pebble skip sites none of whose
-  /// inputs moved since the site was last scanned. Only engaged on the
-  /// fast path (no CREW checker, no cost ledger) and without the windowed
-  /// pebble schedule, so checked-mode accounting is unchanged.
-  bool frontier_sweeps = true;
-  /// Cursor pebble scan (fast path only): the a-pebble gap scan streams
-  /// each root's stored gaps as the layout's arithmetic-progression
-  /// `PwGapRun`s instead of reading every gap through `for_each_gap` and
-  /// the general `get` (identity / slack / child-gap branches per read).
-  bool pebble_cursor = true;
-  /// Incremental mark grids (fast path only): the frontier sweeps'
-  /// containment / prefix grids are updated from the step's moved-mark
-  /// delta when sparse (rank-update row passes), rebuilt from scratch when
-  /// dense — bit-identical counts either way.
-  bool incremental_marks = true;
+  /// Which iteration engine runs the solve (see `EngineKind`).
+  EngineKind engine = EngineKind::kFast;
   /// Per-step engine profiling: record a `StepProfile` per iteration
   /// (frontier density, blocks/quads/pairs skipped vs scanned,
   /// incremental-mark updates vs rebuilds, write-log sizes), readable
   /// through `SolveSession::step_profile()`. Off by default; when off
-  /// the engine takes no profiling branches at all, so results, timing
-  /// and the ledger are untouched (asserted in the fastpath suite).
+  /// the engine takes no profiling branches at all, so results and
+  /// timing are untouched (asserted in the fastpath suite).
   /// Keyed into `serve::PlanKey` so profiled and unprofiled sessions
   /// never share a pool.
   bool profile = false;
-  /// Host execution / accounting configuration.
+  /// Host execution backend and CREW checking (`kReference` only).
   pram::MachineOptions machine;
 };
 
 /// One iteration's engine profile (`SublinearOptions::profile`). Counters
-/// cover the fast sweep paths only — instrumented / reference sweeps
-/// leave them zero (trivially consistent). Invariants asserted in tests:
+/// cover the fast engine's sweeps only — the reference engine leaves them
+/// zero (trivially consistent). Invariants asserted in tests:
 /// `square_quads_scanned + square_quads_skipped + square_quads_block_skipped
 /// == square_quads_total` and
 /// `pebble_pairs_scanned + pebble_pairs_skipped == pebble_pairs_total`.
@@ -256,7 +255,7 @@ struct BatchLedger {
   std::size_t plans_reused = 0;   ///< Shape groups served by a warm plan.
   std::size_t total_iterations = 0;
   /// Summed PRAM work/depth across instances; 0 unless
-  /// `options.machine.record_costs` is on.
+  /// `engine == EngineKind::kReference`.
   std::uint64_t total_work = 0;
   std::uint64_t total_depth = 0;
 };

@@ -11,7 +11,8 @@
 /// layout or the banded Sec. 5 layout (O(n^3.5/log n) processors), the
 /// Sec. 5 windowed pebble schedule, Rytter-style full squaring (the
 /// baseline this paper improves on), and the Sec. 7 termination
-/// heuristics. All PRAM work/depth is accounted on an internal `Machine`.
+/// heuristics. With `EngineKind::kReference`, all PRAM work/depth is
+/// accounted on an internal `Machine`.
 ///
 /// `SublinearSolver` is the classic one-object facade over the
 /// plan/session split (solve_plan.hpp / solve_session.hpp): internally it
@@ -94,8 +95,8 @@ class SublinearSolver {
     return plan_;
   }
 
-  /// The PRAM simulator carrying the work/depth ledger and (optionally)
-  /// the CREW conformance checker.
+  /// The PRAM simulator carrying the work/depth ledger (charged by the
+  /// reference engine only) and (optionally) the CREW conformance checker.
   [[nodiscard]] const pram::Machine& machine() const { return machine_; }
   [[nodiscard]] pram::Machine& machine() { return machine_; }
 

@@ -42,16 +42,14 @@ std::uint64_t Machine::step(const std::string& label, std::int64_t n,
   if (crew_) crew_->end_step();
 
   const std::uint64_t work = total_ops.load();
-  if (options_.record_costs) {
-    const std::uint64_t widest = max_ops.load();
-    // A processor scanning m candidates is modelled as a log-depth binary
-    // reduction over m leaves; a step where every processor does O(1) work
-    // costs unit depth.
-    const std::uint64_t depth =
-        1 + (widest > 1 ? support::ceil_log2(static_cast<std::size_t>(widest))
-                        : 0);
-    costs_.add_step(label, work, depth);
-  }
+  const std::uint64_t widest = max_ops.load();
+  // A processor scanning m candidates is modelled as a log-depth binary
+  // reduction over m leaves; a step where every processor does O(1) work
+  // costs unit depth.
+  const std::uint64_t depth =
+      1 + (widest > 1 ? support::ceil_log2(static_cast<std::size_t>(widest))
+                      : 0);
+  costs_.add_step(label, work, depth);
   return work;
 }
 

@@ -15,14 +15,13 @@
 /// bounds via Brent's theorem.
 ///
 /// Two execution paths share these semantics:
-///  * `step` — the checked/instrumented mode: the body is a `std::function`
-///    reporting per-processor op counts; the ledger and (optionally) the
-///    CREW checker observe every step.
-///  * `run_blocks` — the fast path used when `instrumented()` is false: the
-///    body is a template parameter invoked once per block, so the per-cell
-///    kernel inlines into the worker loop and op-counting / `note_write`
-///    bookkeeping compile down to nothing. Results are identical by
-///    construction; only the accounting differs.
+///  * `step` — the checked path (`core::EngineKind::kReference`): the body
+///    is a `std::function` reporting per-processor op counts; every step
+///    is charged to the ledger and observed by the CREW checker when on.
+///  * `run_blocks` — the fast path (`core::EngineKind::kFast`): the body is
+///    a template parameter invoked once per block, so the per-cell kernel
+///    inlines into the worker loop, and nothing is charged. Results are
+///    identical by construction; only the accounting differs.
 
 #include <cstdint>
 #include <functional>
@@ -39,8 +38,7 @@ namespace subdp::pram {
 /// Configuration for a `Machine`.
 struct MachineOptions {
   Backend backend = default_backend();
-  bool check_crew = false;   ///< Enable write-write conflict detection.
-  bool record_costs = true;  ///< Keep the work/depth ledger.
+  bool check_crew = false;  ///< Enable write-write conflict detection.
 };
 
 /// Executes and accounts synchronous PRAM steps.
@@ -53,8 +51,8 @@ class Machine {
   /// pure assignment counts as 1).
   using StepBody = std::function<std::uint64_t(std::int64_t)>;
 
-  /// Runs one synchronous PRAM step with `n` logical processors.
-  /// Returns the total work performed in the step.
+  /// Runs one synchronous PRAM step with `n` logical processors and
+  /// charges it to the ledger. Returns the total work performed.
   std::uint64_t step(const std::string& label, std::int64_t n,
                      const StepBody& body);
 
@@ -64,18 +62,10 @@ class Machine {
     if (crew_) crew_->record_write(address);
   }
 
-  /// True when per-op accounting is active (CREW checking or the cost
-  /// ledger). When false, callers may use `run_blocks` and skip op
-  /// counting entirely.
-  [[nodiscard]] bool instrumented() const noexcept {
-    return crew_ != nullptr || options_.record_costs;
-  }
-
   /// Fast-path step: runs `body(block_begin, block_end)` over `[0, n)` on
   /// the configured backend with no ledger or CREW bookkeeping. The body
   /// type is a template parameter, so per-cell work inlines into the
-  /// worker loop. Intended for `instrumented() == false` runs; semantics
-  /// (coverage, synchronisation at return) match `step`.
+  /// worker loop. Coverage and synchronisation at return match `step`.
   template <class BlockBody>
   void run_blocks(std::int64_t n, BlockBody&& body) {
     if (n <= 0) return;

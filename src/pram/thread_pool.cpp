@@ -79,6 +79,12 @@ void ThreadPool::parallel_for_erased(std::int64_t begin, std::int64_t end,
     fn(ctx, begin, end);
     return;
   }
+  // A second issuer must not overwrite a published job; it runs inline.
+  std::unique_lock<std::mutex> issuer(issuer_mutex_, std::try_to_lock);
+  if (!issuer.owns_lock()) {
+    fn(ctx, begin, end);
+    return;
+  }
 
   {
     const std::lock_guard<std::mutex> lock(mutex_);

@@ -16,16 +16,7 @@
 /// the worker — no `std::function` allocation or per-cell type erasure on
 /// the hot path. `std::function` bodies still work (they are callables).
 ///
-/// The engine's inner loops are the pool's caller, through
-/// `Machine::run_blocks` / `parallel_for_blocked` on the process-wide
-/// `shared()` pool. `serve::SolverService` deliberately does *not* run
-/// its dispatch through this pool: a fork-join round cannot return
-/// before its longest solve, so async submissions arriving mid-round
-/// would head-of-line block behind it — the service keeps free-running
-/// queue-consumer threads instead, and (when it runs more than one
-/// worker) forces each solve onto the serial backend so `shared()`
-/// never sees loops issued from two service workers at once, honouring
-/// the single-issuer contract below.
+/// Any thread may issue loops; a contended issuer runs its range inline.
 
 #include <atomic>
 #include <condition_variable>
@@ -40,7 +31,7 @@
 namespace subdp::pram {
 
 /// Fork-join pool; one instance can be reused for any number of loops,
-/// but loops must not be issued concurrently from different threads.
+/// issued from any number of threads.
 class ThreadPool {
  public:
   /// Spawns `threads` workers (0 = `hardware_concurrency`).
@@ -85,6 +76,7 @@ class ThreadPool {
   void run_chunks();
 
   std::vector<std::thread> workers_;
+  std::mutex issuer_mutex_;  ///< Held by the thread whose job is published.
   std::mutex mutex_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;

@@ -20,7 +20,7 @@
 /// that rebuilds the plan.
 ///
 /// The key covers every option field that shapes a plan (layout variant,
-/// square mode, termination, band, caps, hot-path toggles, machine
+/// square mode, termination, band, caps, engine kind, machine
 /// configuration), so two clients asking for the same `n` under different
 /// options get distinct plans — and distinct pools — as correctness
 /// requires.
@@ -76,10 +76,7 @@ struct PlanKey {
   std::size_t band_width = 0;
   std::size_t max_iterations = 0;
   bool windowed_pebble = false;
-  bool delta_buffering = true;
-  bool frontier_sweeps = true;
-  bool pebble_cursor = true;
-  bool incremental_marks = true;
+  core::EngineKind engine = core::EngineKind::kFast;
   /// Per-step profiling changes what a session records (engine profile
   /// state), so profiled and unprofiled requests must not share pools —
   /// the toggle is part of the key even though it leaves plan geometry
@@ -87,7 +84,6 @@ struct PlanKey {
   bool profile = false;
   pram::Backend backend = pram::default_backend();
   bool check_crew = false;
-  bool record_costs = true;
 
   [[nodiscard]] static PlanKey make(std::size_t n,
                                     const core::SublinearOptions& options);
@@ -96,9 +92,7 @@ struct PlanKey {
     auto tie = [](const PlanKey& k) {
       return std::tuple(k.n, k.variant, k.square_mode, k.termination,
                         k.band_width, k.max_iterations, k.windowed_pebble,
-                        k.delta_buffering, k.frontier_sweeps,
-                        k.pebble_cursor, k.incremental_marks, k.profile,
-                        k.backend, k.check_crew, k.record_costs);
+                        k.engine, k.profile, k.backend, k.check_crew);
     };
     return tie(a) < tie(b);
   }

@@ -36,21 +36,21 @@ obs::PlanSource to_plan_source(BuildSource source) {
 }
 
 /// Per-shape histogram label: every field that distinguishes latency
-/// behaviour at a glance (size, layout, square mode) — not the full
-/// PlanKey, which would shard the histograms too finely to read.
+/// behaviour at a glance (size, layout, square mode, engine) — not the
+/// full PlanKey, which would shard the histograms too finely to read.
 std::string shape_label(std::size_t n, const core::SublinearOptions& opts) {
   return "n" + std::to_string(n) + "-" + to_string(opts.variant) + "-" +
-         to_string(opts.square_mode);
+         to_string(opts.square_mode) + "-" + to_string(opts.engine);
 }
 
 }  // namespace
 
 core::SublinearOptions SolverService::normalized(
     core::SublinearOptions options) const {
-  // Multi-worker sessions run the serial engine path (the shared engine
-  // pool is single-issuer, and instance-level parallelism already covers
-  // the cores); a one-worker service keeps the caller's backend, so the
-  // BatchSolver facade behaves exactly like the pre-service BatchSolver.
+  // Multi-worker sessions run the serial backend (instance-level
+  // parallelism already covers the cores); a one-worker service keeps the
+  // caller's backend, so the BatchSolver facade behaves exactly like the
+  // pre-service BatchSolver.
   if (workers_ > 1) options.machine.backend = pram::Backend::kSerial;
   return options;
 }
@@ -613,12 +613,8 @@ void SolverService::run_job(Job& job) {
     core::SublinearResult result = lease->solve(*job.problem);
     solve_hist_.record(elapsed_ns(solve_begin, clock_->now()));
     trace(job.id, obs::TraceEventKind::kSolveEnd);
-    std::uint64_t work = 0;
-    std::uint64_t depth = 0;
-    if (job.solve_options.machine.record_costs) {
-      work = lease->machine().costs().total_work();
-      depth = lease->machine().costs().total_depth();
-    }
+    const std::uint64_t work = lease->machine().costs().total_work();
+    const std::uint64_t depth = lease->machine().costs().total_depth();
     lease.release();  // free the session before completion bookkeeping
     const std::uint64_t iterations = result.iterations;
 

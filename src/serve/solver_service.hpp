@@ -157,15 +157,14 @@
 ///    walltime bench assert this).
 ///
 /// When the service runs more than one worker, sessions normalise the
-/// machine backend to `kSerial`: the inner engine must not issue
-/// fork-join loops on the shared engine pool from several service
-/// workers at once (that pool is single-issuer), and with instances
-/// already covering the cores, intra-solve threading has nothing left to
-/// win. A one-worker service (the `BatchSolver` facade) keeps the
-/// caller's configured backend — there is only one issuer, and the old
-/// `BatchSolver` behavior (parallelism inside each solve) is preserved
-/// exactly. Normalisation happens before keying the cache, so the
-/// `(n, options)` key space is not split by ignored backend choices.
+/// machine backend to `kSerial`: with instances already covering the
+/// cores, intra-solve threading has nothing left to win (a scheduling
+/// choice; the shared pool is safe for concurrent issuers). A one-worker
+/// service (the `BatchSolver` facade) keeps the caller's configured
+/// backend, so the old `BatchSolver` behavior (parallelism inside each
+/// solve) is preserved exactly. Normalisation happens before keying the
+/// cache, so the `(n, options)` key space is not split by ignored backend
+/// choices.
 ///
 /// ```
 /// serve::ServiceOptions opts;
@@ -343,7 +342,7 @@ struct ServiceStats {
   /// but share a single build (one cache miss).
   std::uint64_t jobs_cold_deferred = 0;
   std::uint64_t total_iterations = 0;
-  /// Summed PRAM work/depth; 0 unless `machine.record_costs` is on.
+  /// Summed PRAM work/depth; 0 unless `engine == EngineKind::kReference`.
   std::uint64_t total_work = 0;
   std::uint64_t total_depth = 0;
   /// Session churn across all plans (service lifetime, eviction-proof).
@@ -375,7 +374,7 @@ struct ServiceStats {
   obs::HistogramSnapshot solve;
   obs::HistogramSnapshot e2e;
   /// End-to-end latency split by plan shape (label "n<N>-<variant>-
-  /// <square mode>"), sorted by label.
+  /// <square mode>-<engine>"), sorted by label.
   std::vector<std::pair<std::string, obs::HistogramSnapshot>> e2e_by_shape;
   /// Per-priority-class admission slices; they partition the global
   /// counters (see `PriorityClassStats`).

@@ -93,7 +93,9 @@ TEST(Session, ReuseIsBitIdenticalToFreshSolves) {
 TEST(Session, LedgerAndCellCountResetBetweenInstances) {
   const std::size_t n = 16;
   const auto problems = random_chains(2, n, 503);
-  SolveSession session(SolvePlan::create(n));
+  SublinearOptions counted;
+  counted.engine = EngineKind::kReference;
+  SolveSession session(SolvePlan::create(n, counted));
 
   const auto r0 = session.solve(problems[0]);
   const std::size_t cells = session.pw_cell_count();
@@ -120,16 +122,16 @@ TEST(Session, LedgerAndCellCountResetBetweenInstances) {
 }
 
 TEST(Session, ReuseMatchesAcrossEngineConfigurations) {
-  // The in-place reset must be exact for every engine mode: reference
-  // double-buffering, delta without frontiers, and the full fast path.
+  // The in-place reset must be exact for both engines, with and without
+  // the windowed schedule (which turns the fast engine's frontier off).
   const std::size_t n = 14;
   const auto problems = random_chains(3, n, 504);
-  for (const bool delta : {false, true}) {
-    for (const bool frontier : {false, true}) {
-      if (!delta && frontier) continue;
+  for (const EngineKind engine : {EngineKind::kReference, EngineKind::kFast}) {
+    for (const bool windowed : {false, true}) {
       SublinearOptions options;
-      options.delta_buffering = delta;
-      options.frontier_sweeps = frontier;
+      options.engine = engine;
+      options.windowed_pebble = windowed;
+      if (windowed) options.termination = TerminationMode::kFixedBound;
       SolveSession session(SolvePlan::create(n, options));
       for (const auto& p : problems) {
         const auto reused = session.solve(p);
@@ -239,13 +241,15 @@ TEST(Batch, AggregatesTheLedger) {
   std::vector<const dp::Problem*> pointers;
   for (const auto& p : problems) pointers.push_back(&p);
 
-  BatchSolver batch;  // record_costs defaults on
+  SublinearOptions counted;
+  counted.engine = EngineKind::kReference;
+  BatchSolver batch(counted);
   const auto out = batch.solve_all(pointers);
 
   std::uint64_t expected_work = 0;
   std::size_t expected_iterations = 0;
   for (const auto& p : problems) {
-    SublinearSolver solver;
+    SublinearSolver solver(counted);
     const auto r = solver.solve(p);
     expected_work += solver.machine().costs().total_work();
     expected_iterations += r.iterations;

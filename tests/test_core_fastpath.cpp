@@ -1,14 +1,11 @@
-// Equivalence tests for the hot-path engine mechanisms (core/engine.hpp):
-// delta-buffered stepping vs copy-based double buffering, frontier-driven
-// vs full sweeps, cursor-driven a-pebble gap runs vs per-gap `get` scans,
-// incrementally maintained frontier mark grids vs per-step rebuilds, and
-// serial vs thread-pool execution must all produce identical solver
-// output — the same w table, cost, iteration count, and per-iteration
-// change counts — across every instance family in bench/common.hpp and
-// both pw-table layouts. The fast path is engaged by
-// turning the cost ledger off (`record_costs = false`); checked /
-// instrumented runs keep full sweeps, whose ledger must be unaffected by
-// delta buffering.
+// Equivalence tests for the two iteration engines (core/engine.hpp): the
+// fast engine (write-log stepping, frontier-driven sweeps, cursor pebble
+// scans, incremental mark grids) must produce output identical to the
+// reference engine (copy-and-swap stepping, full instrumented sweeps) —
+// the same w table, cost, iteration count, and per-iteration change
+// counts — across every instance family in bench/common.hpp, both
+// pw-table layouts, serial and thread-pool execution, with per-step
+// profiling on or off.
 
 #include <gtest/gtest.h>
 
@@ -29,17 +26,10 @@ namespace {
 
 struct EngineConfig {
   std::string name;
-  bool delta = true;
-  bool frontier = true;
-  bool record_costs = false;
+  EngineKind engine = EngineKind::kFast;
   pram::Backend backend = pram::Backend::kSerial;
-  // The two PR-6 hot-path mechanisms; false selects the reference
-  // implementation (per-gap `get` pebble scans / from-scratch mark-grid
-  // rebuilds) the cursor and incremental paths must be bit-identical to.
-  bool cursor = true;
-  bool incremental = true;
-  // Per-step engine profiling (observability PR): on or off, the solver
-  // output must be bit-identical — profiling only ever records.
+  // Per-step engine profiling: on or off, the solver output must be
+  // bit-identical — profiling only ever records.
   bool profile = false;
 };
 
@@ -47,12 +37,8 @@ SublinearResult run_config(const dp::Problem& problem,
                            const EngineConfig& config, PwVariant variant) {
   SublinearOptions options;
   options.variant = variant;
-  options.delta_buffering = config.delta;
-  options.frontier_sweeps = config.frontier;
-  options.pebble_cursor = config.cursor;
-  options.incremental_marks = config.incremental;
+  options.engine = config.engine;
   options.profile = config.profile;
-  options.machine.record_costs = config.record_costs;
   options.machine.backend = config.backend;
   SublinearSolver solver(options);
   return solver.solve(problem);
@@ -72,40 +58,21 @@ void expect_identical(const SublinearResult& ref, const SublinearResult& got,
   }
 }
 
-// The reference configuration is the seed engine's stepping scheme:
-// copy-based double buffering, full sweeps, instrumented.
 EngineConfig reference_config() {
-  return {"reference(copy,full,counted,serial)", false, false, true,
-          pram::Backend::kSerial};
+  return {"reference,serial", EngineKind::kReference, pram::Backend::kSerial};
 }
 
+// The fast engine in four setups, plus the reference engine on threads.
 std::vector<EngineConfig> variant_configs() {
   return {
-      {"delta,full,counted,serial", true, false, true, pram::Backend::kSerial},
-      {"delta,full,fast,serial", true, false, false, pram::Backend::kSerial},
-      {"delta,frontier,fast,serial", true, true, false,
-       pram::Backend::kSerial},
-      {"copy,full,fast,serial", false, false, false, pram::Backend::kSerial},
-      {"delta,frontier,fast,threads", true, true, false,
+      {"fast,serial", EngineKind::kFast, pram::Backend::kSerial},
+      {"fast,threads", EngineKind::kFast, pram::Backend::kThreadPool},
+      {"fast,serial,profiled", EngineKind::kFast, pram::Backend::kSerial,
+       true},
+      {"fast,threads,profiled", EngineKind::kFast, pram::Backend::kThreadPool,
+       true},
+      {"reference,threads", EngineKind::kReference,
        pram::Backend::kThreadPool},
-      {"delta,full,counted,threads", true, false, true,
-       pram::Backend::kThreadPool},
-      // Legacy fast paths: each PR-6 mechanism off alone, then both off
-      // (the pre-cursor engine), serial and threaded.
-      {"delta,frontier,fast,serial,no-cursor", true, true, false,
-       pram::Backend::kSerial, false, true},
-      {"delta,frontier,fast,serial,no-incremental", true, true, false,
-       pram::Backend::kSerial, true, false},
-      {"delta,frontier,fast,serial,legacy", true, true, false,
-       pram::Backend::kSerial, false, false},
-      {"delta,frontier,fast,threads,legacy", true, true, false,
-       pram::Backend::kThreadPool, false, false},
-      // Observability: per-step profiling on must be bit-identical to the
-      // reference — recording never steers a sweep, serial or threaded.
-      {"delta,frontier,fast,serial,profiled", true, true, false,
-       pram::Backend::kSerial, true, true, true},
-      {"delta,frontier,fast,threads,profiled", true, true, false,
-       pram::Backend::kThreadPool, true, true, true},
   };
 }
 
@@ -144,10 +111,8 @@ TEST(FastPath, PwTablesMatchCellByCell) {
   const auto problem = bench::make_instance("matrix-chain", n, rng);
 
   SublinearOptions ref_options;
-  ref_options.delta_buffering = false;
-  ref_options.frontier_sweeps = false;
+  ref_options.engine = EngineKind::kReference;
   SublinearOptions fast_options;
-  fast_options.machine.record_costs = false;
 
   SublinearSolver ref(ref_options);
   SublinearSolver fast(fast_options);
@@ -177,41 +142,14 @@ TEST(FastPath, PwTablesMatchCellByCell) {
   }
 }
 
-TEST(FastPath, DeltaBufferingLeavesTheLedgerUnchanged) {
-  // Checked-mode accounting (work, depth, step sequence) must be
-  // identical whether steps double-buffer by copy or by write log.
-  support::Rng rng(7);
-  const auto problem = bench::make_instance("optimal-bst", 24, rng);
-  SublinearOptions copy_options;
-  copy_options.delta_buffering = false;
-  copy_options.frontier_sweeps = false;
-  SublinearOptions delta_options;
-  delta_options.delta_buffering = true;
-
-  SublinearSolver copy_solver(copy_options);
-  SublinearSolver delta_solver(delta_options);
-  (void)copy_solver.solve(*problem);
-  (void)delta_solver.solve(*problem);
-
-  const auto& a = copy_solver.machine().costs();
-  const auto& b = delta_solver.machine().costs();
-  EXPECT_EQ(a.total_work(), b.total_work());
-  EXPECT_EQ(a.total_depth(), b.total_depth());
-  ASSERT_EQ(a.step_count(), b.step_count());
-  for (std::size_t s = 0; s < a.steps().size(); ++s) {
-    EXPECT_EQ(a.steps()[s].label, b.steps()[s].label) << "step " << s;
-    EXPECT_EQ(a.steps()[s].work, b.steps()[s].work) << "step " << s;
-    EXPECT_EQ(a.steps()[s].depth, b.steps()[s].depth) << "step " << s;
-  }
-}
-
-TEST(FastPath, DeltaBufferingIsCrewConformant) {
-  // The write-log scheme defers all square/pebble writes past the
-  // barrier; the CREW checker must still see exactly one reported write
-  // per improved cell and no conflicts.
+TEST(FastPath, ReferenceEngineIsCrewConformantOnThreads) {
+  // The reference engine's double-buffered steps, run on the thread
+  // pool, must report exactly one write per improved cell and no
+  // conflicts.
   support::Rng rng(13);
   const auto problem = bench::make_instance("triangulation", 21, rng);
   SublinearOptions options;
+  options.engine = EngineKind::kReference;
   options.machine.check_crew = true;
   options.machine.backend = pram::Backend::kThreadPool;
   SublinearSolver solver(options);
@@ -222,9 +160,19 @@ TEST(FastPath, DeltaBufferingIsCrewConformant) {
       << solver.machine().crew()->first_violation();
 }
 
+TEST(FastPath, CrewCheckingRequiresTheReferenceEngine) {
+  // The fast engine reports no writes, so a CREW check on it would pass
+  // vacuously; plan creation refuses the combination instead.
+  SublinearOptions options;
+  options.machine.check_crew = true;
+  EXPECT_THROW((void)SolvePlan::create(12, options), std::invalid_argument);
+  options.engine = EngineKind::kReference;
+  EXPECT_NE(SolvePlan::create(12, options), nullptr);
+}
+
 TEST(FastPath, WindowedPebbleMatchesReferenceEngine) {
   // The windowed schedule disables frontier sweeps internally; the
-  // delta-buffered fast path must still match the copy-based engine.
+  // fast engine's write-log stepping must still match the reference.
   support::Rng rng(55);
   const auto problem = bench::make_instance("zigzag", 30, rng);
   SublinearOptions base;
@@ -232,10 +180,8 @@ TEST(FastPath, WindowedPebbleMatchesReferenceEngine) {
   base.termination = TerminationMode::kFixedBound;
 
   SublinearOptions ref_options = base;
-  ref_options.delta_buffering = false;
-  ref_options.frontier_sweeps = false;
+  ref_options.engine = EngineKind::kReference;
   SublinearOptions fast_options = base;
-  fast_options.machine.record_costs = false;
 
   SublinearSolver ref(ref_options);
   SublinearSolver fast(fast_options);
@@ -263,23 +209,20 @@ TEST(CrossLayout, DenseAndWideBandAgreeBitForBitOnEveryFamily) {
         run_config(*problem, reference_config(), PwVariant::kDense);
     EXPECT_EQ(ref.cost, dp::solve_sequential(*problem).cost) << family;
 
-    const auto dense_fast = run_config(
-        *problem, {"dense,fast", true, true, false, pram::Backend::kSerial},
-        PwVariant::kDense);
+    const auto dense_fast = run_config(*problem, {"dense,fast"},
+                                       PwVariant::kDense);
     expect_identical(ref, dense_fast, family + " / dense fast");
 
-    for (const bool fast : {false, true}) {
+    for (const EngineKind engine :
+         {EngineKind::kReference, EngineKind::kFast}) {
       SublinearOptions options;
       options.variant = PwVariant::kBanded;
       options.band_width = n;  // wide band: stores every slack, like dense
-      options.delta_buffering = fast;
-      options.frontier_sweeps = fast;
-      options.machine.record_costs = !fast;
+      options.engine = engine;
       SublinearSolver solver(options);
       const auto got = solver.solve(*problem);
       expect_identical(ref, got,
-                       family + (fast ? " / wide-band fast"
-                                      : " / wide-band reference"));
+                       family + " / wide-band " + to_string(engine));
     }
   }
 }
@@ -291,15 +234,12 @@ TEST(CrossLayout, DenseAndBandedConvergeToTheSameTables) {
   for (const std::string& family : bench::instance_families()) {
     support::Rng rng(911);
     const auto problem = bench::make_instance(family, 26, rng);
-    SublinearOptions fast;
-    fast.machine.record_costs = false;
-
-    SublinearOptions dense_opts = fast;
+    SublinearOptions dense_opts;
     dense_opts.variant = PwVariant::kDense;
     SublinearSolver dense_solver(dense_opts);
     const auto dense = dense_solver.solve(*problem);
 
-    SublinearOptions banded_opts = fast;
+    SublinearOptions banded_opts;
     banded_opts.variant = PwVariant::kBanded;
     SublinearSolver banded_solver(banded_opts);
     const auto banded = banded_solver.solve(*problem);
@@ -319,13 +259,11 @@ TEST(CrossLayout, DensePastTheOldCubeCapSolvesCorrectly) {
   const auto problem = bench::make_instance("matrix-chain", n, rng);
   SublinearOptions dense_opts;
   dense_opts.variant = PwVariant::kDense;
-  dense_opts.machine.record_costs = false;
   SublinearSolver dense_solver(dense_opts);
   const auto dense = dense_solver.solve(*problem);
   EXPECT_EQ(dense.cost, dp::solve_sequential(*problem).cost);
 
   SublinearOptions banded_opts;
-  banded_opts.machine.record_costs = false;
   SublinearSolver banded_solver(banded_opts);
   const auto banded = banded_solver.solve(*problem);
   EXPECT_EQ(dense.cost, banded.cost);
@@ -375,8 +313,7 @@ TEST(StepProfiles, CountersReconcilePerStepOnEveryFamily) {
       const auto problem = bench::make_instance(family, 24, rng);
       SublinearOptions options;
       options.variant = variant;
-      options.profile = true;
-      options.machine.record_costs = false;  // engage the fast sweeps
+      options.profile = true;  // the default fast engine's sweeps
       const auto plan = SolvePlan::create(problem->size(), options);
       SolveSession session(plan);
       const auto result = session.solve(*problem);
@@ -419,7 +356,6 @@ TEST(StepProfiles, EmptyWhenProfilingIsOff) {
   support::Rng rng(607);
   const auto problem = bench::make_instance("matrix-chain", 18, rng);
   SublinearOptions options;  // profile defaults to false
-  options.machine.record_costs = false;
   const auto plan = SolvePlan::create(problem->size(), options);
   SolveSession session(plan);
   const auto result = session.solve(*problem);
@@ -435,7 +371,6 @@ TEST(StepProfiles, SurvivesSessionResetAndRepeatedSolves) {
   const auto b = bench::make_instance("optimal-bst", 20, rng);
   SublinearOptions options;
   options.profile = true;
-  options.machine.record_costs = false;
   const auto plan = SolvePlan::create(20, options);
   SolveSession session(plan);
   const auto ra = session.solve(*a);

@@ -59,6 +59,7 @@ TEST(Rytter, FewerIterationsButMoreWorkThanHlvOnZigzag) {
   hlv_opts.variant = PwVariant::kDense;
   hlv_opts.square_mode = SquareMode::kHlvOneLevel;
   hlv_opts.termination = TerminationMode::kFixedPoint;
+  hlv_opts.engine = EngineKind::kReference;
   SublinearSolver hlv(hlv_opts);
   const auto hlv_result = hlv.solve(inst.problem);
 
@@ -66,6 +67,7 @@ TEST(Rytter, FewerIterationsButMoreWorkThanHlvOnZigzag) {
   ryt_opts.variant = PwVariant::kDense;
   ryt_opts.square_mode = SquareMode::kRytterFull;
   ryt_opts.termination = TerminationMode::kFixedPoint;
+  ryt_opts.engine = EngineKind::kReference;
   SublinearSolver ryt(ryt_opts);
   const auto ryt_result = ryt.solve(inst.problem);
 

@@ -236,7 +236,9 @@ TEST(Stepping, BandIsClampedToN) {
 TEST(Stepping, MachineLedgerGrowsPerStep) {
   support::Rng rng(410);
   const auto p = dp::MatrixChainProblem::random(10, rng);
-  SublinearSolver solver;
+  SublinearOptions counted;
+  counted.engine = EngineKind::kReference;
+  SublinearSolver solver(counted);
   solver.prepare(p);
   const auto before = solver.machine().costs().step_count();
   (void)solver.step();

@@ -253,6 +253,7 @@ TEST(Sublinear, AllThreeStepsAreCrewConformant) {
   for (const auto variant : {PwVariant::kDense, PwVariant::kBanded}) {
     SublinearOptions options;
     options.variant = variant;
+    options.engine = EngineKind::kReference;
     options.machine.check_crew = true;
     SublinearSolver solver(options);
     (void)solver.solve(p);
@@ -270,6 +271,7 @@ TEST(Sublinear, LedgerRecordsThreeStepsPerIteration) {
   const auto p = dp::MatrixChainProblem::random(12, rng);
   SublinearOptions options;
   options.termination = TerminationMode::kFixedBound;
+  options.engine = EngineKind::kReference;
   SublinearSolver solver(options);
   const auto result = solver.solve(p);
   EXPECT_EQ(solver.machine().costs().step_count(), 3 * result.iterations);
@@ -288,6 +290,7 @@ TEST(Sublinear, BandedDoesLessSquareWorkThanDense) {
     SublinearOptions options;
     options.variant = variant;
     options.termination = TerminationMode::kFixedBound;
+    options.engine = EngineKind::kReference;
     SublinearSolver solver(options);
     (void)solver.solve(p);
     square_work[idx++] =

@@ -141,6 +141,7 @@ TEST(Windowed, PebbleWorkIsConcentrated) {
     SublinearOptions options;
     options.windowed_pebble = windowed;
     options.termination = TerminationMode::kFixedBound;
+    options.engine = EngineKind::kReference;
     SublinearSolver solver(options);
     (void)solver.solve(p);
     pebble_work[idx++] =

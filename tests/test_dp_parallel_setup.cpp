@@ -94,6 +94,7 @@ TEST(ParallelSetup, PreprocessingNeverDominatesTheMainIteration) {
   const auto table = materialize_in_parallel(pre, problem);
 
   core::SublinearOptions options;
+  options.engine = core::EngineKind::kReference;  // keeps the ledger
   core::SublinearSolver solver(options);
   (void)solver.solve(table);
   EXPECT_LT(pre.costs().total_work() * 10,

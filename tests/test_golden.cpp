@@ -49,6 +49,7 @@ TEST_P(GoldenMatrixChainTest, LedgerIsBitStable) {
   core::SublinearOptions options;
   options.variant = g.variant;
   options.termination = core::TerminationMode::kFixedPoint;
+  options.engine = core::EngineKind::kReference;
   core::SublinearSolver solver(options);
   const auto result = solver.solve(p);
   EXPECT_EQ(result.cost, g.cost);
@@ -84,10 +85,12 @@ TEST(Golden, BandedConvergesNoLaterButOftenEarlierThanDense) {
 }
 
 TEST(Golden, OptimalBstLedger) {
+  core::SublinearOptions counted;
+  counted.engine = core::EngineKind::kReference;
   {
     support::Rng rng(9110);
     const auto p = dp::OptimalBstProblem::random(10, rng);
-    core::SublinearSolver solver;
+    core::SublinearSolver solver(counted);
     const auto r = solver.solve(p);
     EXPECT_EQ(r.cost, 1907);
     EXPECT_EQ(r.iterations, 6u);
@@ -97,7 +100,7 @@ TEST(Golden, OptimalBstLedger) {
   {
     support::Rng rng(9120);
     const auto p = dp::OptimalBstProblem::random(20, rng);
-    core::SublinearSolver solver;
+    core::SublinearSolver solver(counted);
     const auto r = solver.solve(p);
     EXPECT_EQ(r.cost, 3814);
     EXPECT_EQ(r.iterations, 7u);

@@ -45,11 +45,15 @@ TEST(Machine, EmptyStepRecordsNothing) {
   EXPECT_EQ(m.costs().step_count(), 0u);
 }
 
-TEST(Machine, CostRecordingCanBeDisabled) {
-  MachineOptions opts;
-  opts.record_costs = false;
-  Machine m(opts);
-  m.step("s", 10, [](std::int64_t) { return std::uint64_t{1}; });
+TEST(Machine, RunBlocksChargesNothing) {
+  // The fast path covers the range but never touches the ledger; only
+  // `step` is accounted.
+  Machine m;
+  std::atomic<std::int64_t> covered{0};
+  m.run_blocks(10, [&](std::int64_t lo, std::int64_t hi) {
+    covered.fetch_add(hi - lo);
+  });
+  EXPECT_EQ(covered.load(), 10);
   EXPECT_EQ(m.costs().step_count(), 0u);
 }
 

@@ -103,7 +103,7 @@ TEST(ServiceHistograms, EndToEndCountMatchesCompletedJobsExactly) {
   EXPECT_EQ(stats.snapshot_load.count, 0u);  // no snapshot store
   // Per-shape split: a single n=12 banded/hlv label carrying all jobs.
   ASSERT_EQ(stats.e2e_by_shape.size(), 1u);
-  EXPECT_EQ(stats.e2e_by_shape[0].first, "n12-banded-hlv");
+  EXPECT_EQ(stats.e2e_by_shape[0].first, "n12-banded-hlv-fast");
   EXPECT_EQ(stats.e2e_by_shape[0].second.count, stats.jobs_completed);
 }
 
@@ -166,7 +166,7 @@ TEST(ServiceMetrics, PrometheusCarriesEveryServiceStatsCounter) {
   }
   // The per-shape e2e family carries its shape label.
   EXPECT_NE(text.find("subdp_e2e_shape_ns"), std::string::npos);
-  EXPECT_NE(text.find("shape=\"n12-banded-hlv\""), std::string::npos);
+  EXPECT_NE(text.find("shape=\"n12-banded-hlv-fast\""), std::string::npos);
 
   const std::string json = service.metrics().to_json();
   EXPECT_TRUE(balanced_json(json));

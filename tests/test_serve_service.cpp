@@ -112,11 +112,14 @@ TEST(Service, SubmitFuturesMatchIndependentSolvesShuffled) {
 
 TEST(Service, MatchesBatchSolverLedgerAndResults) {
   const auto load = make_workload({10, 15}, 3, 604);
-  core::BatchSolver batch;
+  core::SublinearOptions counted;
+  counted.engine = core::EngineKind::kReference;
+  core::BatchSolver batch(counted);
   const auto batch_out = batch.solve_all(load.pointers);
 
   ServiceOptions options;
   options.workers = 3;
+  options.solver = counted;
   SolverService service(options);
   const auto service_out = service.solve_all(load.pointers);
 
@@ -130,8 +133,9 @@ TEST(Service, MatchesBatchSolverLedgerAndResults) {
   EXPECT_EQ(service_out.ledger.plans_built, batch_out.ledger.plans_built);
   EXPECT_EQ(service_out.ledger.total_iterations,
             batch_out.ledger.total_iterations);
-  // record_costs defaults on: the summed PRAM ledger is worker-count
+  // The reference engine's summed PRAM ledger is worker-count
   // independent (accounting is backend-independent by construction).
+  EXPECT_GT(batch_out.ledger.total_work, 0u);
   EXPECT_EQ(service_out.ledger.total_work, batch_out.ledger.total_work);
   EXPECT_EQ(service_out.ledger.total_depth, batch_out.ledger.total_depth);
 

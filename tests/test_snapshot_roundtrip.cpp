@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -110,7 +111,7 @@ fs::path only_snapshot_file(const fs::path& dir) {
   return found;
 }
 
-// Format-v1 byte offsets (documented in plan_snapshot.cpp's header
+// Header byte offsets (documented in plan_snapshot.cpp's header
 // struct); the tamper tests below flip bytes at these positions.
 constexpr std::size_t kHeaderBytes = 160;
 constexpr std::size_t kVersionOffset = 8;     // format_version u32
@@ -122,7 +123,7 @@ TEST(SnapshotRoundTrip, BitIdenticalEveryFamilyBanded) {
   for (const std::string& family : bench::instance_families()) {
     support::Rng rng(2026);
     const auto problem = bench::make_instance(family, 33, rng);
-    core::SublinearOptions options;  // banded default, instrumented
+    core::SublinearOptions options;  // banded default, fast engine
     const auto fresh = core::SolvePlan::create(33, options);
     const auto loaded = reencode(fresh);
     const auto ref = solve_with(fresh, *problem);
@@ -156,24 +157,14 @@ TEST(SnapshotRoundTrip, OptionTogglesSurviveTheFormat) {
   toggles.push_back({"default", {}});
   {
     core::SublinearOptions o;
-    o.delta_buffering = false;
-    toggles.push_back({"no-delta", o});
+    o.engine = core::EngineKind::kReference;
+    toggles.push_back({"reference", o});
   }
   {
     core::SublinearOptions o;
-    o.frontier_sweeps = false;
-    toggles.push_back({"no-frontier", o});
-  }
-  {
-    core::SublinearOptions o;
-    o.pebble_cursor = false;
-    o.incremental_marks = false;
-    toggles.push_back({"legacy-pebble", o});
-  }
-  {
-    core::SublinearOptions o;
-    o.machine.record_costs = false;
-    toggles.push_back({"fast", o});
+    o.engine = core::EngineKind::kReference;
+    o.band_width = 4;
+    toggles.push_back({"reference-band-4", o});
   }
   {
     core::SublinearOptions o;
@@ -342,6 +333,16 @@ TEST(SnapshotRejection, BadMagic) {
   });
 }
 
+TEST(SnapshotRejection, FormatV1HeaderIsRejectedAndRebuilt) {
+  // Version 1 keyed five engine-toggle bytes where version 2 keys one
+  // engine byte; a file still claiming version 1 must take the
+  // reject -> rebuild path rather than be read under the new layout.
+  expect_rejected_then_rebuilt("format-v1", [](auto& bytes) {
+    const std::uint32_t v1 = 1;
+    std::memcpy(bytes.data() + kVersionOffset, &v1, sizeof(v1));
+  });
+}
+
 TEST(SnapshotRejection, KeyFilenameMismatch) {
   // A valid file for shape A copied under shape B's name: the embedded
   // key is authoritative, so B's load rejects it (and A's still works).
@@ -349,7 +350,7 @@ TEST(SnapshotRejection, KeyFilenameMismatch) {
   SnapshotStore store(dir.str());
   core::SublinearOptions options_a;  // default
   core::SublinearOptions options_b;
-  options_b.delta_buffering = false;
+  options_b.engine = core::EngineKind::kReference;
   ASSERT_TRUE(store.save(core::SolvePlan::create(24, options_a)));
   const fs::path file_a = only_snapshot_file(dir.path());
   const fs::path file_b =
@@ -379,7 +380,7 @@ TEST(SnapshotRejection, DecodeThrowsInsteadOfMisSolving) {
   // Requested shape disagrees with the embedded key.
   EXPECT_THROW((void)decode(bytes->size(), 13, {}), std::invalid_argument);
   core::SublinearOptions other;
-  other.frontier_sweeps = false;
+  other.band_width = 5;
   EXPECT_THROW((void)decode(bytes->size(), 12, other),
                std::invalid_argument);
   // Claimed payload size disagrees with the buffer.
