@@ -43,6 +43,25 @@
 /// a-activate writes cells nobody reads within the step and updates in
 /// place on both engines.
 ///
+/// Contention-free fast steps
+/// --------------------------
+/// Like the paper's CREW steps, no fast-engine processor waits on another
+/// inside a step:
+///  * the sweep range is cut into fixed *segments* (`WriteLog`: one when
+///    the backend runs on a single host thread, eight per host thread
+///    otherwise). A segment owns its index range of the sweep *and* the
+///    same range of the log, which it fills from the front and closes by
+///    storing its entry count — no shared counter is touched per cell or
+///    per segment, and the log is the one slot-per-index array it always
+///    was;
+///  * the a-square apply runs over the segments through `run_blocks`;
+///    each segment's entries ascend, so the quads of one root form a run
+///    and the root is marked once per run. The a-pebble log holds at most
+///    one entry per pair and becomes the next frontier in order, so it is
+///    applied serially on the issuing thread;
+///  * root marks read before they write (`mark_root_dirty`): a flag that
+///    is already set costs a shared load, never a store or an RMW.
+///
 /// Performance architecture
 /// ------------------------
 /// On the fast engine the sweeps are additionally *frontier-driven*
@@ -97,6 +116,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -341,8 +361,11 @@ class Engine final : public IEngine {
         total_split_sites_(shape_->total_split_sites) {
     SUBDP_ASSERT(problem.size() == n_);
     if (fast_) {
-      pw_log_.resize(pw_.entries().size());
-      w_log_.resize(pairs_.size());
+      const unsigned threads = pram::backend_parallelism(machine_.backend());
+      const std::size_t segments =
+          threads > 1 ? std::size_t{kSegmentsPerThread} * threads : 1;
+      pw_log_.allocate(pw_.entries().size(), segments);
+      w_log_.allocate(pairs_.size(), segments);
     } else {
       pw_next_.emplace(shape_->layout);
     }
@@ -384,6 +407,7 @@ class Engine final : public IEngine {
     if (profile_) begin_profile();
     IterationOutcome out;
     out.activate_changed = run_activate();
+    if (profile_ && fast_) lap(&StepProfile::activate_ns);
     out.square_changed = run_square();
     out.pebble_changed = run_pebble();
     if (profile_) end_profile();
@@ -435,6 +459,40 @@ class Engine final : public IEngine {
   struct Delta {
     std::uint32_t index = 0;
     Cost value = 0;
+  };
+
+  /// Log segments per host thread on a parallel backend — the same eight
+  /// chunks per thread the pool's automatic grain aims for, so dynamic
+  /// claiming still absorbs the sweeps' uneven per-index work.
+  static constexpr unsigned kSegmentsPerThread = 8;
+
+  /// A step's write log, cut into segments. A sweep over indices
+  /// `[0, items)` gives segment `s` the indices `[begin(s), begin(s+1))`
+  /// and the same slots of `entries`: the segment fills them from the
+  /// front and stores how many it wrote in `counts[s]`. Each segment is
+  /// one logical processor's private range, so logging takes no shared
+  /// counter, and `entries` keeps its one slot per index.
+  struct WriteLog {
+    std::vector<Delta> entries;
+    std::vector<std::uint32_t> counts;  ///< Capacity = most segments.
+    std::size_t items = 0;              ///< Indices of the last sweep.
+    std::size_t segments = 0;           ///< Segments of the last sweep.
+
+    void allocate(std::size_t max_items, std::size_t max_segments) {
+      entries.resize(max_items);
+      counts.resize(max_segments);
+    }
+    [[nodiscard]] std::size_t begin(std::size_t s) const {
+      return items * s / segments;
+    }
+    [[nodiscard]] const Delta* head(std::size_t s) const {
+      return entries.data() + begin(s);
+    }
+    [[nodiscard]] std::size_t size() const {
+      std::size_t total = 0;
+      for (std::size_t s = 0; s < segments; ++s) total += counts[s];
+      return total;
+    }
   };
 
   /// One mark entering (+1) or leaving (-1) a frontier grid between two
@@ -685,20 +743,46 @@ class Engine final : public IEngine {
   /// Records that some `pw` entry of root `pair_idx` moved, for both
   /// consumers: `root_dirty_` (read by a-pebble, sticky until the pair is
   /// rescanned) and `pw_root_moved_` (read by the next a-square, cleared
-  /// at every square apply). The first marking of a root also appends it
-  /// to the dense `moved_roots_` list — the exchange admits exactly one
-  /// appender per root per square interval, so the list is always the
-  /// exact set whose bitmap is `pw_root_moved_` (duplicate-free, in some
-  /// backend-dependent order, which is fine: every consumer folds it with
-  /// order-independent integer sums).
+  /// at every square apply). Both flags are read before they are written:
+  /// once a root is marked, later marks from any thread only load the
+  /// shared bytes, so the cache lines stay shared instead of bouncing
+  /// between cores. A flag read as 0 may still be raced for, so the first
+  /// marking keeps the exchange, which admits exactly one appender per
+  /// root per square interval to the dense `moved_roots_` list — always
+  /// the exact set whose bitmap is `pw_root_moved_` (duplicate-free, in
+  /// some backend-dependent order, which is fine: every consumer folds it
+  /// with order-independent integer sums).
   void mark_root_dirty(std::size_t pair_idx) {
-    root_dirty_[pair_idx].store(1, std::memory_order_relaxed);
-    if (pw_root_moved_[pair_idx].exchange(1, std::memory_order_relaxed) ==
-        0) {
+    if (root_dirty_[pair_idx].load(std::memory_order_relaxed) == 0) {
+      root_dirty_[pair_idx].store(1, std::memory_order_relaxed);
+    }
+    if (pw_root_moved_[pair_idx].load(std::memory_order_relaxed) == 0 &&
+        pw_root_moved_[pair_idx].exchange(1, std::memory_order_relaxed) ==
+            0) {
       moved_roots_[moved_roots_count_.fetch_add(
           1, std::memory_order_relaxed)] =
           static_cast<std::uint32_t>(pair_idx);
     }
+  }
+
+  /// Runs one logged sweep over indices `[0, items)`, one logical
+  /// processor per log segment: `scan(lo, hi, out)` scans `[lo, hi)`,
+  /// stores each improvement at `*out++` and returns the advanced `out`.
+  template <class Scan>
+  void run_logged(WriteLog& log, std::size_t items, Scan&& scan) {
+    log.items = items;
+    log.segments = std::min(items, log.counts.size());
+    machine_.run_blocks(
+        static_cast<std::int64_t>(log.segments),
+        [&](std::int64_t s_lo, std::int64_t s_hi) {
+          for (auto s = static_cast<std::size_t>(s_lo);
+               s < static_cast<std::size_t>(s_hi); ++s) {
+            Delta* const head = log.entries.data() + log.begin(s);
+            const Delta* const tail =
+                scan(log.begin(s), log.begin(s + 1), head);
+            log.counts[s] = static_cast<std::uint32_t>(tail - head);
+          }
+        });
   }
 
   /// Parallel zero-fill of a mark grid (flat ranges are independent).
@@ -1177,26 +1261,25 @@ class Engine final : public IEngine {
     // (every square after the first) — the sweep is root-major: whole
     // root blocks are skipped via the containment test, surviving quads
     // via the O(1) window test.
-    pw_log_count_.store(0, std::memory_order_relaxed);
     const bool hlv = options_.square_mode == SquareMode::kHlvOneLevel;
     const bool skip_clean = frontier_enabled_ && square_frontier_ready_ && hlv;
     if (skip_clean) update_square_prefixes();
     const Cost* raw_read = pw_.raw_cells();
     const bool prof = prof_ != nullptr;
-    if (prof) prof_->square_quads_total += quads.size();
-    machine_.run_blocks(
-        static_cast<std::int64_t>(quads.size()),
-        [&](std::int64_t lo64, std::int64_t hi64) {
-          const std::size_t lo = static_cast<std::size_t>(lo64);
-          const std::size_t hi = static_cast<std::size_t>(hi64);
+    if (prof) {
+      prof_->square_quads_total += quads.size();
+      lap(&StepProfile::mark_update_ns);
+    }
+    run_logged(
+        pw_log_, quads.size(),
+        [&](std::size_t lo, std::size_t hi, Delta* out) {
           std::uint64_t ops = 0;
           const auto scan_one = [&](const Quad& t, std::size_t idx) {
             const Cost old_value = raw_read[entry_slots_[idx]];
             const Cost best = hlv ? square_scan_fast(t, old_value)
                                   : square_scan<false>(t, old_value, ops);
             if (best < old_value) {
-              pw_log_[pw_log_count_.fetch_add(1, std::memory_order_relaxed)] =
-                  Delta{static_cast<std::uint32_t>(idx), best};
+              *out++ = Delta{static_cast<std::uint32_t>(idx), best};
             }
           };
           if (!skip_clean) {
@@ -1206,7 +1289,7 @@ class Engine final : public IEngine {
             if (prof) {
               prof_quads_scanned_.fetch_add(hi - lo, std::memory_order_relaxed);
             }
-            return;
+            return out;
           }
           std::uint64_t blocks_scanned = 0, blocks_skipped = 0;
           std::uint64_t quads_scanned = 0, quads_skipped = 0;
@@ -1248,10 +1331,13 @@ class Engine final : public IEngine {
             prof_quads_block_skipped_.fetch_add(quads_block_skipped,
                                                 std::memory_order_relaxed);
           }
+          return out;
         });
-    // Apply after the barrier: one write per improved cell, all distinct.
-    const std::size_t logged = pw_log_count_.load(std::memory_order_relaxed);
-    if (prof_ != nullptr) prof_->pw_log_entries = logged;
+    const std::size_t logged = pw_log_.size();
+    if (prof) {
+      prof_->pw_log_entries = logged;
+      lap(&StepProfile::square_sweep_ns);
+    }
     if (frontier_enabled_) {
       // This square consumed all accumulated movement marks; the next one
       // must see only its own applies plus the next activate's writes.
@@ -1265,15 +1351,33 @@ class Engine final : public IEngine {
       moved_roots_count_.store(0, std::memory_order_relaxed);
       square_frontier_ready_ = true;
     }
-    Cost* raw = pw_.raw_cells();
-    for (std::size_t k = 0; k < logged; ++k) {
-      const Delta rec = pw_log_[k];
-      raw[entry_slots_[rec.index]] = rec.value;
-      if (frontier_enabled_) {
-        const Quad t = quads[rec.index];
-        mark_root_dirty(pair_index(t.i, t.j));
-      }
+    // Apply after the barrier, one processor per log segment: every
+    // improved cell is distinct, and a segment's entries ascend, so the
+    // quads of one root arrive as a run and mark the root once.
+    if (logged > 0) {
+      Cost* raw = pw_.raw_cells();
+      machine_.run_blocks(
+          static_cast<std::int64_t>(pw_log_.segments),
+          [&](std::int64_t s_lo, std::int64_t s_hi) {
+            for (auto s = static_cast<std::size_t>(s_lo);
+                 s < static_cast<std::size_t>(s_hi); ++s) {
+              const Delta* rec = pw_log_.head(s);
+              const Delta* const end = rec + pw_log_.counts[s];
+              std::size_t marked = pairs_.size();  // no root yet
+              for (; rec != end; ++rec) {
+                raw[entry_slots_[rec->index]] = rec->value;
+                if (!frontier_enabled_) continue;
+                const Quad t = quads[rec->index];
+                const std::size_t root = pair_index(t.i, t.j);
+                if (root != marked) {
+                  mark_root_dirty(root);
+                  marked = root;
+                }
+              }
+            }
+          });
     }
+    if (prof) lap(&StepProfile::square_apply_ns);
     return logged;
   }
 
@@ -1307,17 +1411,19 @@ class Engine final : public IEngine {
       return changed.load();
     }
 
-    w_log_count_.store(0, std::memory_order_relaxed);
     const bool use_frontier = frontier_enabled_;
     if (use_frontier) update_contained_counts();
     const bool prof = prof_ != nullptr;
-    if (prof) prof_->pebble_pairs_total += w_end - w_begin;
-    machine_.run_blocks(
-        static_cast<std::int64_t>(w_end - w_begin),
-        [&, w_begin = w_begin](std::int64_t lo, std::int64_t hi) {
+    if (prof) {
+      prof_->pebble_pairs_total += w_end - w_begin;
+      lap(&StepProfile::mark_update_ns);
+    }
+    run_logged(
+        w_log_, w_end - w_begin,
+        [&, w_begin = w_begin](std::size_t lo, std::size_t hi, Delta* out) {
           std::uint64_t pairs_scanned = 0, pairs_skipped = 0;
-          for (std::int64_t idx = lo; idx < hi; ++idx) {
-            const std::size_t at = w_begin + static_cast<std::size_t>(idx);
+          for (std::size_t idx = lo; idx < hi; ++idx) {
+            const std::size_t at = w_begin + idx;
             const Pair pr = pairs_[at];
             if (use_frontier) {
               // Skip unless some input moved: a pw entry of this root
@@ -1337,8 +1443,7 @@ class Engine final : public IEngine {
             const Cost old_value = w_(pr.i, pr.j);
             const Cost best = pebble_scan_fast(pr.i, pr.j, old_value);
             if (best < old_value) {
-              w_log_[w_log_count_.fetch_add(1, std::memory_order_relaxed)] =
-                  Delta{static_cast<std::uint32_t>(at), best};
+              *out++ = Delta{static_cast<std::uint32_t>(at), best};
             }
           }
           if (prof) {
@@ -1347,18 +1452,27 @@ class Engine final : public IEngine {
             prof_pairs_skipped_.fetch_add(pairs_skipped,
                                           std::memory_order_relaxed);
           }
+          return out;
         });
-    // Apply after the barrier; the logged pairs are the next frontier.
-    const std::size_t logged = w_log_count_.load(std::memory_order_relaxed);
-    if (prof_ != nullptr) prof_->w_log_entries = logged;
+    const std::size_t logged = w_log_.size();
+    if (prof) {
+      prof_->w_log_entries = logged;
+      lap(&StepProfile::pebble_sweep_ns);
+    }
+    // Apply after the barrier; the logged pairs are the next frontier, in
+    // ascending pair order whatever the backend. At most one entry per
+    // pair, so the apply stays on this thread.
     if (frontier_enabled_) frontier_.clear();
     Cost* wraw = w_.data();
-    for (std::size_t k = 0; k < logged; ++k) {
-      const Delta rec = w_log_[k];
-      const Pair pr = pairs_[rec.index];
-      wraw[pr.i * (n_ + 1) + pr.j] = rec.value;
-      if (frontier_enabled_) frontier_.push_back(pr);
+    for (std::size_t s = 0; s < w_log_.segments; ++s) {
+      const Delta* const head = w_log_.head(s);
+      for (const Delta* rec = head; rec != head + w_log_.counts[s]; ++rec) {
+        const Pair pr = pairs_[rec->index];
+        wraw[pr.i * (n_ + 1) + pr.j] = rec->value;
+        if (frontier_enabled_) frontier_.push_back(pr);
+      }
     }
+    if (prof) lap(&StepProfile::pebble_apply_ns);
     return logged;
   }
 
@@ -1367,12 +1481,16 @@ class Engine final : public IEngine {
   // to these relaxed atomics; `end_profile` loads the totals into the
   // iteration's StepProfile after the last barrier. Serial call sites
   // (the activate density decision, the mark-grid update choice, the
-  // post-barrier log totals) write `prof_` directly.
+  // post-barrier log totals) write `prof_` directly, and so do the phase
+  // laps, which only the thread running `iterate()` takes.
+
+  using ProfileClock = std::chrono::steady_clock;
 
   void begin_profile() {
     profiles_.emplace_back();
     prof_ = &profiles_.back();
     prof_->iteration = iteration_;
+    lap_start_ = ProfileClock::now();
     prof_blocks_scanned_.store(0, std::memory_order_relaxed);
     prof_blocks_skipped_.store(0, std::memory_order_relaxed);
     prof_quads_scanned_.store(0, std::memory_order_relaxed);
@@ -1380,6 +1498,15 @@ class Engine final : public IEngine {
     prof_quads_block_skipped_.store(0, std::memory_order_relaxed);
     prof_pairs_scanned_.store(0, std::memory_order_relaxed);
     prof_pairs_skipped_.store(0, std::memory_order_relaxed);
+  }
+
+  /// Adds the wall time since the previous lap to `prof_->*phase`.
+  void lap(std::uint64_t StepProfile::*phase) {
+    const ProfileClock::time_point now = ProfileClock::now();
+    prof_->*phase += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - lap_start_)
+            .count());
+    lap_start_ = now;
   }
 
   void end_profile() {
@@ -1419,10 +1546,8 @@ class Engine final : public IEngine {
   std::uint64_t total_split_sites_ = 0;
 
   // Write-log stepping state (fast engine only).
-  std::vector<Delta> pw_log_;
-  std::vector<Delta> w_log_;
-  std::atomic<std::size_t> pw_log_count_{0};
-  std::atomic<std::size_t> w_log_count_{0};
+  WriteLog pw_log_;  ///< Indexed like `entries()`.
+  WriteLog w_log_;   ///< Indexed like the pebble window of `pairs_`.
 
   // Frontier state (frontier_enabled_ == true).
   bool frontier_enabled_ = false;
@@ -1464,6 +1589,7 @@ class Engine final : public IEngine {
   std::atomic<std::uint64_t> prof_quads_block_skipped_{0};
   std::atomic<std::uint64_t> prof_pairs_scanned_{0};
   std::atomic<std::uint64_t> prof_pairs_skipped_{0};
+  ProfileClock::time_point lap_start_;
 
   std::size_t iteration_ = 0;
 };

@@ -110,10 +110,11 @@ struct SublinearOptions {
   EngineKind engine = EngineKind::kFast;
   /// Per-step engine profiling: record a `StepProfile` per iteration
   /// (frontier density, blocks/quads/pairs skipped vs scanned,
-  /// incremental-mark updates vs rebuilds, write-log sizes), readable
-  /// through `SolveSession::step_profile()`. Off by default; when off
-  /// the engine takes no profiling branches at all, so results and
-  /// timing are untouched (asserted in the fastpath suite).
+  /// incremental-mark updates vs rebuilds, write-log sizes, per-phase
+  /// wall times), readable through `SolveSession::step_profile()`. Off by
+  /// default; when off the engine takes no per-cell profiling branches
+  /// and reads no clock, so results are untouched (asserted in the
+  /// fastpath suite).
   /// Keyed into `serve::PlanKey` so profiled and unprofiled sessions
   /// never share a pool.
   bool profile = false;
@@ -122,8 +123,9 @@ struct SublinearOptions {
 };
 
 /// One iteration's engine profile (`SublinearOptions::profile`). Counters
-/// cover the fast engine's sweeps only — the reference engine leaves them
-/// zero (trivially consistent). Invariants asserted in tests:
+/// and phase times cover the fast engine's sweeps only — the reference
+/// engine leaves them zero (trivially consistent). Invariants asserted in
+/// tests:
 /// `square_quads_scanned + square_quads_skipped + square_quads_block_skipped
 /// == square_quads_total` and
 /// `pebble_pairs_scanned + pebble_pairs_skipped == pebble_pairs_total`.
@@ -153,6 +155,15 @@ struct StepProfile {
   // Delta-buffer write-log sizes (entries applied after the barrier).
   std::uint64_t pw_log_entries = 0;
   std::uint64_t w_log_entries = 0;
+  // Wall time per phase in nanoseconds, read on the thread that runs the
+  // iteration. `mark_update_ns` covers both steps' mark-grid updates; each
+  // `*_apply_ns` covers the post-barrier log apply with its mark clearing.
+  std::uint64_t activate_ns = 0;
+  std::uint64_t mark_update_ns = 0;
+  std::uint64_t square_sweep_ns = 0;
+  std::uint64_t square_apply_ns = 0;
+  std::uint64_t pebble_sweep_ns = 0;
+  std::uint64_t pebble_apply_ns = 0;
 };
 
 /// Per-iteration progress counters (experiment E5/E8 traces).

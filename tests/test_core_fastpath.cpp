@@ -4,11 +4,13 @@
 // reference engine (copy-and-swap stepping, full instrumented sweeps) —
 // the same w table, cost, iteration count, and per-iteration change
 // counts — across every instance family in bench/common.hpp, both
-// pw-table layouts, serial and thread-pool execution, with per-step
-// profiling on or off.
+// pw-table layouts, serial, thread-pool and OpenMP execution (each cuts
+// the write logs into its own segments), with per-step profiling on or
+// off.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -62,11 +64,12 @@ EngineConfig reference_config() {
   return {"reference,serial", EngineKind::kReference, pram::Backend::kSerial};
 }
 
-// The fast engine in four setups, plus the reference engine on threads.
+// The fast engine in five setups, plus the reference engine on threads.
 std::vector<EngineConfig> variant_configs() {
   return {
       {"fast,serial", EngineKind::kFast, pram::Backend::kSerial},
       {"fast,threads", EngineKind::kFast, pram::Backend::kThreadPool},
+      {"fast,openmp", EngineKind::kFast, pram::Backend::kOpenMP},
       {"fast,serial,profiled", EngineKind::kFast, pram::Backend::kSerial,
        true},
       {"fast,threads,profiled", EngineKind::kFast, pram::Backend::kThreadPool,
@@ -101,6 +104,30 @@ TEST(FastPath, AllConfigurationsAgreeOnEveryFamilyDense) {
       expect_identical(ref, got, family + " / " + config.name);
     }
   }
+}
+
+TEST(FastPath, ThreadsMatchReferenceAtBandedN96) {
+  // Large enough that the square steps log thousands of improvements,
+  // so the segmented logs and the parallel apply run over many
+  // non-empty segments on a multicore host.
+  support::Rng rng(9696);
+  const auto problem = bench::make_instance("matrix-chain", 96, rng);
+  const auto ref =
+      run_config(*problem, reference_config(), PwVariant::kBanded);
+  EXPECT_EQ(ref.cost, dp::solve_sequential(*problem).cost);
+
+  SublinearOptions options;
+  options.profile = true;
+  options.machine.backend = pram::Backend::kThreadPool;
+  const auto plan = SolvePlan::create(problem->size(), options);
+  SolveSession session(plan);
+  const auto got = session.solve(*problem);
+  expect_identical(ref, got, "matrix-chain n=96 / fast,threads");
+  std::uint64_t most_logged = 0;
+  for (const StepProfile& p : session.step_profile()) {
+    most_logged = std::max(most_logged, p.pw_log_entries);
+  }
+  EXPECT_GE(most_logged, 1000u);
 }
 
 TEST(FastPath, PwTablesMatchCellByCell) {
@@ -350,6 +377,39 @@ TEST(StepProfiles, CountersReconcilePerStepOnEveryFamily) {
       EXPECT_GT(total_pairs, 0u) << family;
     }
   }
+}
+
+TEST(StepProfiles, PhaseTimesAreFilledAndLeaveResultsUntouched) {
+  support::Rng rng(609);
+  const auto problem = bench::make_instance("zigzag", 40, rng);
+  SublinearOptions options;
+  options.machine.backend = pram::Backend::kThreadPool;
+  const auto plain_plan = SolvePlan::create(problem->size(), options);
+  SolveSession plain(plain_plan);
+  const auto unprofiled = plain.solve(*problem);
+  EXPECT_TRUE(plain.step_profile().empty());
+
+  options.profile = true;
+  const auto profiled_plan = SolvePlan::create(problem->size(), options);
+  SolveSession session(profiled_plan);
+  const auto profiled = session.solve(*problem);
+  expect_identical(unprofiled, profiled, "profiled vs unprofiled");
+
+  StepProfile total;
+  for (const StepProfile& p : session.step_profile()) {
+    total.activate_ns += p.activate_ns;
+    total.mark_update_ns += p.mark_update_ns;
+    total.square_sweep_ns += p.square_sweep_ns;
+    total.square_apply_ns += p.square_apply_ns;
+    total.pebble_sweep_ns += p.pebble_sweep_ns;
+    total.pebble_apply_ns += p.pebble_apply_ns;
+  }
+  EXPECT_GT(total.activate_ns, 0u);
+  EXPECT_GT(total.mark_update_ns, 0u);
+  EXPECT_GT(total.square_sweep_ns, 0u);
+  EXPECT_GT(total.square_apply_ns, 0u);
+  EXPECT_GT(total.pebble_sweep_ns, 0u);
+  EXPECT_GT(total.pebble_apply_ns, 0u);
 }
 
 TEST(StepProfiles, EmptyWhenProfilingIsOff) {

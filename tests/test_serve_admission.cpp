@@ -515,6 +515,12 @@ struct TokenGate {
     std::unique_lock<std::mutex> lock(mutex);
     cv.wait(lock, [&] { return entered >= k; });
   }
+  /// `wait_entered` bounded by `deadline`; the caller asserts the count.
+  void wait_entered_until(std::size_t k,
+                          std::chrono::steady_clock::time_point deadline) {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait_until(lock, deadline, [&] { return entered >= k; });
+  }
 };
 
 TEST(Admission, BuilderPoolBuildsDistinctShapesConcurrently) {
@@ -587,6 +593,8 @@ TEST(Admission, ColdCoalescingStillCountsOneMissWithTwoBuilders) {
   ASSERT_EQ(service.stats().jobs_cold_deferred, kSameShape);
   EXPECT_EQ(service.stats().plan_cache.misses, 1u)
       << "concurrent cold submits for one key must count a single miss";
+  // The last job can park before the claiming builder reaches its hook.
+  gate->wait_entered_until(1, poll_deadline);
   {
     const std::lock_guard<std::mutex> lock(gate->mutex);
     EXPECT_EQ(gate->entered, 1u)
