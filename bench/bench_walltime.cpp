@@ -17,24 +17,21 @@
 //    writing rows. The reference engine's PRAM work ledger is recorded
 //    once per (family, n) up to n = 96 (larger counted runs would
 //    dominate the sweep; rows above carry total_work = 0). Per family
-//    the sweep also times the batched front door: 16 same-n banded
-//    instances through BatchSolver::solve_all (plan built once, session
-//    tables reset in place) against the same instances through a fresh
-//    per-instance solver each — rows with mode "batch-amortised" /
-//    "batch-loop" and an "instances" count — and through
-//    serve::SolverService, which overlaps whole instances across worker
-//    threads (mode "service-parallel", workers from `--workers=<k>`,
-//    default hardware_concurrency). All paths are asserted bit-identical
-//    first; the service additionally across worker counts {1, 4,
-//    hardware_concurrency} and a shuffled async submission order. Every
-//    row records "host_threads" and "workers", so rows measured on the
-//    1-core container and rows from a real multicore rerun stay
-//    distinguishable. The output (conventionally BENCH_walltime.json)
+//    the sweep also times the serving front door: 16 same-n banded
+//    instances through serve::SolverService::solve_all, which overlaps
+//    whole instances across worker threads (mode "service-parallel",
+//    an "instances" count, workers from `--workers=<k>`, default
+//    hardware_concurrency). The service's results are first asserted
+//    bit-identical to an untimed fresh-solver-per-instance loop across
+//    worker counts {1, 4, hardware_concurrency} and a shuffled async
+//    submission order. Every row records "host_threads" and "workers",
+//    so rows measured on the 1-core container and rows from a real
+//    multicore rerun stay distinguishable. The output (conventionally BENCH_walltime.json)
 //    is what CI tracks across PRs.
 //
 //    `--families=<a,b,...>` restricts the sweep to a comma-separated
-//    subset of families and `--max-n=<n>` caps the ladder (batch rows
-//    clamp to it), so CI can smoke-run a single tiny batch row, e.g.
+//    subset of families and `--max-n=<n>` caps the ladder (service rows
+//    clamp to it), so CI can smoke-run a single tiny service row, e.g.
 //    `--json=out.json --families=matrix-chain --max-n=32`.
 //
 //    `--snapshot-dir=<path>` adds a cold-start row pair per family: the
@@ -87,7 +84,6 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "core/batch_solver.hpp"
 #include "core/sublinear_solver.hpp"
 #include "serve/solver_service.hpp"
 #include "dp/matrix_chain.hpp"
@@ -188,8 +184,7 @@ struct SweepRow {
   std::string variant;  // "banded" | "dense"
   std::string engine;   // "reference" | "fast"
   std::string backend;  // "serial" | "threads" | "openmp"
-  std::string mode = "single";  // | "batch-amortised" | "batch-loop"
-                                // | "service-parallel"
+  std::string mode = "single";  // | "service-parallel" | ...
   std::size_t instances = 1;    // problems timed in this row
   double wall_ms = 0.0;         // total across `instances`
   std::uint64_t total_work = 0;  // reference-engine PRAM ops; 0 = not counted
@@ -200,7 +195,7 @@ struct SweepRow {
   unsigned host_threads = std::thread::hardware_concurrency();
   unsigned workers = 1;  // host threads the row's parallelism ran across
   // Per-job end-to-end latency percentiles (service rows only; 0 for
-  // single/batch rows, which time one call, not a job population).
+  // single rows, which time one call, not a job population).
   double p50_ms = 0.0;
   double p95_ms = 0.0;
   double p99_ms = 0.0;
@@ -339,17 +334,8 @@ void sweep_variant(const dp::Problem& problem, const std::string& family,
   }
 }
 
-// ---- Batch rows: the plan-amortised front door vs a per-instance loop ----
+// ---- Service rows: instances overlapped across workers ----
 
-/// Times `count` same-n instances of `family` through (a) a fresh
-/// per-instance solver each — every instance pays plan construction —
-/// (b) `BatchSolver::solve_all`, which builds the plan once and resets
-/// pooled session tables in place across the group, and (c)
-/// `serve::SolverService::solve_all` with `service_workers` workers
-/// overlapping whole instances (each on the serial fast path). Asserts
-/// all paths bit-identical before recording any row — the service
-/// additionally across worker counts {1, 4, hardware_concurrency,
-/// service_workers} and a shuffled async submission order.
 /// `--priority-mix=<i:b>` ratio; {0, 0} disables the service-qos row.
 struct PriorityMix {
   std::size_t interactive = 0;
@@ -359,13 +345,20 @@ struct PriorityMix {
   }
 };
 
-void sweep_batch(const std::string& family, std::size_t n,
-                 std::size_t count, std::size_t service_workers,
-                 std::size_t queue_cap, serve::OverloadPolicy policy,
-                 PriorityMix priority_mix,
-                 const std::string& metrics_json,
-                 const std::string& trace_json,
-                 std::vector<SweepRow>& rows) {
+/// Times `count` same-n instances of `family` through
+/// `serve::SolverService::solve_all` with `service_workers` workers
+/// overlapping whole instances (each on the serial fast path), plus the
+/// optional admission and QoS rows. Every service result is first
+/// asserted bit-identical to an untimed fresh-solver-per-instance loop —
+/// across worker counts {1, 4, hardware_concurrency, service_workers}
+/// and a shuffled async submission order.
+void sweep_service(const std::string& family, std::size_t n,
+                   std::size_t count, std::size_t service_workers,
+                   std::size_t queue_cap, serve::OverloadPolicy policy,
+                   PriorityMix priority_mix,
+                   const std::string& metrics_json,
+                   const std::string& trace_json,
+                   std::vector<SweepRow>& rows) {
   std::vector<std::unique_ptr<dp::Problem>> owned;
   owned.reserve(count);
   for (std::size_t k = 0; k < count; ++k) {
@@ -378,67 +371,14 @@ void sweep_batch(const std::string& family, std::size_t n,
 
   core::SublinearOptions options;
 
+  // The reference results: a fresh solver per instance, run once.
   std::vector<core::SublinearResult> loop_results(count);
-  double loop_ms = 0.0;
-  double batch_ms = 0.0;
-  core::BatchResult batch_out;
-  // Best-of-3: at n = 96 the per-instance preparation being amortised is
-  // ~10-20 ms against multi-second totals, so single-shot timing noise
-  // could drown the signal.
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<core::SublinearResult> results(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      core::SublinearSolver solver(options);  // pays preparation per instance
-      results[k] = solver.solve(*pointers[k]);
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (rep == 0 || ms < loop_ms) loop_ms = ms;
-    if (rep == 0) loop_results = std::move(results);
-
-    core::BatchSolver batch(options);  // cold cache: plan built inside
-    const auto b0 = std::chrono::steady_clock::now();
-    auto out = batch.solve_all(pointers);
-    const auto b1 = std::chrono::steady_clock::now();
-    const double bms =
-        std::chrono::duration<double, std::milli>(b1 - b0).count();
-    if (rep == 0 || bms < batch_ms) batch_ms = bms;
-    if (rep == 0) batch_out = std::move(out);
-  }
-
+  std::size_t loop_iterations = 0;
   for (std::size_t k = 0; k < count; ++k) {
-    SUBDP_REQUIRE(batch_out.results[k].cost == loop_results[k].cost &&
-                      batch_out.results[k].iterations ==
-                          loop_results[k].iterations &&
-                      batch_out.results[k].w == loop_results[k].w,
-                  "batched solve diverged from the per-instance loop");
+    core::SublinearSolver solver(options);
+    loop_results[k] = solver.solve(*pointers[k]);
+    loop_iterations += loop_results[k].iterations;
   }
-
-  for (const bool amortised : {false, true}) {
-    SweepRow row;
-    row.family = family;
-    row.n = n;
-    row.variant = core::to_string(core::PwVariant::kBanded);
-    row.engine = "fast";
-    row.backend = pram::to_string(options.machine.backend);
-    row.mode = amortised ? "batch-amortised" : "batch-loop";
-    row.instances = count;
-    row.wall_ms = amortised ? batch_ms : loop_ms;
-    row.iterations = batch_out.ledger.total_iterations;
-    row.cost = batch_out.results.front().cost;
-    row.workers = pram::backend_parallelism(options.machine.backend);
-    rows.push_back(row);
-    std::printf("%-14s n=%-4zu %-7s %-15s x%zu  %10.3f ms\n",
-                family.c_str(), n, row.variant.c_str(), row.mode.c_str(),
-                count, row.wall_ms);
-  }
-  std::printf("%-14s n=%-4zu batch amortisation saves %.1f ms (%.1f%%)\n",
-              family.c_str(), n, loop_ms - batch_ms,
-              100.0 * (loop_ms - batch_ms) / loop_ms);
-
-  // ---- Service rows: instances overlapped across workers ----
 
   const auto assert_identical = [&](const core::SublinearResult& got,
                                     std::size_t k, const char* what) {
@@ -490,8 +430,8 @@ void sweep_batch(const std::string& family, std::size_t n,
     }
   }
 
-  // The timed row mirrors the batch rows' protocol: cold service per
-  // rep (plan built inside), best-of-3. The last rep's stats feed the
+  // The timed row: cold service per rep (plan built inside),
+  // best-of-3. The last rep's stats feed the
   // per-job latency percentile columns (every rep runs the identical
   // cold workload) and, with no admission row to prefer, the
   // --metrics-json / --trace-json artifacts.
@@ -536,8 +476,8 @@ void sweep_batch(const std::string& family, std::size_t n,
   row.mode = "service-parallel";
   row.instances = count;
   row.wall_ms = service_ms;
-  row.iterations = batch_out.ledger.total_iterations;
-  row.cost = batch_out.results.front().cost;
+  row.iterations = loop_iterations;
+  row.cost = loop_results.front().cost;
   // A 1-worker service keeps the configured backend, so the row's real
   // parallelism is that backend's, not the worker count.
   row.workers = service_workers > 1
@@ -639,11 +579,13 @@ void sweep_batch(const std::string& family, std::size_t n,
       try {
         if (interactive) {
           qos_futures[k] = qos.submit(
-              *pointers[k], serve::PriorityClass::kInteractive,
-              std::chrono::steady_clock::now() + std::chrono::hours(1));
+              *pointers[k],
+              {.priority = serve::PriorityClass::kInteractive,
+               .deadline =
+                   std::chrono::steady_clock::now() + std::chrono::hours(1)});
         } else {
-          qos_futures[k] =
-              qos.submit(*pointers[k], serve::PriorityClass::kBatch);
+          qos_futures[k] = qos.submit(
+              *pointers[k], {.priority = serve::PriorityClass::kBatch});
         }
         break;
       } catch (const core::AdmissionError& e) {
@@ -851,12 +793,11 @@ void run_json_sweep(const std::string& path,
       families.push_back(name);
     }
   }
-  // The batch rows' size: the acceptance point n = 96, clamped so a
+  // The service rows' size: the acceptance point n = 96, clamped so a
   // --max-n smoke run stays tiny.
-  const std::size_t batch_n = max_n < 96 ? max_n : 96;
-  // 16 instances: twice the acceptance floor of 8, so the amortised
-  // preparation (15 plan builds saved) stands clear of timing noise.
-  constexpr std::size_t kBatchInstances = 16;
+  const std::size_t service_n = max_n < 96 ? max_n : 96;
+  // 16 instances: twice the acceptance floor of 8.
+  constexpr std::size_t kServiceInstances = 16;
 
   std::vector<SweepRow> rows;
   for (const std::string& family : families) {
@@ -874,11 +815,11 @@ void run_json_sweep(const std::string& path,
       sweep_variant(*problem, family, core::PwVariant::kDense, point,
                     backends, rows);
     }
-    sweep_batch(family, batch_n, kBatchInstances, service_workers,
-                queue_cap, policy, priority_mix, metrics_json, trace_json,
-                rows);
+    sweep_service(family, service_n, kServiceInstances, service_workers,
+                  queue_cap, policy, priority_mix, metrics_json, trace_json,
+                  rows);
     if (!snapshot_dir.empty()) {
-      sweep_snapshot(family, batch_n, service_workers, snapshot_dir, rows);
+      sweep_snapshot(family, service_n, service_workers, snapshot_dir, rows);
     }
   }
 

@@ -13,6 +13,9 @@
 //   serve::SolverService service;                 // hardware workers
 //   auto batch  = service.solve_all(instances);   // blocking, ordered
 //   auto future = service.submit(problem);        // async
+//   auto timed  = service.submit(problem,         // async, with a
+//       {.priority = serve::PriorityClass::kBatch,  // priority class
+//        .deadline = steady_clock::now() + 2s});    // and a deadline
 //   // one SolvePlan per (n, options) in a bounded LRU cache, pooled
 //   // sessions reset in place, instances overlapped across workers —
 //   // results bit-identical to independent solves.
@@ -184,7 +187,7 @@ int main() {
   // it at pickup without a single f() evaluation.
   auto doomed = bounded.submit(
       stream.front(),
-      std::chrono::steady_clock::now() - std::chrono::seconds(1));
+      {.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1)});
   bool deadline_expired = false;
   try {
     (void)doomed.get();

@@ -3,19 +3,15 @@
 /// \file api.hpp
 /// Top-level convenience API over the plan/session architecture.
 ///
-/// Four tiers, lowest friction first:
+/// Three tiers, lowest friction first:
 ///  * `solve(problem, options)` — one instance in, assembled `Solution`
 ///    out (cost, optimal tree, iteration and PRAM statistics). Builds a
 ///    throwaway plan+session pair; what the examples use.
-///  * `BatchSolver` (batch_solver.hpp) — many instances in, per-instance
-///    results out, with per-shape preparation (entry lists, layout
-///    offsets, schedules) built once per distinct `n` and tables reused
-///    in place across same-shape instances; runs single-threaded.
-///  * `serve::SolverService` (serve/solver_service.hpp) — the concurrent
-///    serving front door `BatchSolver` is now a facade over: a bounded
-///    LRU plan cache keyed by `(n, options)`, per-plan session pools,
-///    and worker threads overlapping independent instances, with a
-///    blocking `solve_all` and an async `submit -> std::future`.
+///  * `serve::SolverService` (serve/solver_service.hpp) — many instances
+///    in, per-instance results out: a bounded LRU plan cache keyed by
+///    `(n, options)`, per-plan session pools reset in place, and worker
+///    threads overlapping independent instances, with a blocking
+///    `solve_all` and an async `submit -> std::future`.
 ///  * `SolvePlan` / `SolveSession` (solve_plan.hpp / solve_session.hpp) —
 ///    explicit prepare-once/solve-many: share one immutable plan across
 ///    worker sessions, step, trace, or CREW-check each solve. What
@@ -25,7 +21,6 @@
 /// through the same plan/session machinery; its options must select
 /// `SquareMode::kRytterFull` (see `rytter_options()` for the defaults).
 
-#include "core/batch_solver.hpp"
 #include "core/solver_types.hpp"
 #include "core/sublinear_solver.hpp"
 #include "dp/problem.hpp"

@@ -25,7 +25,7 @@
 /// number of `SolveSession`s (each with its own mutable tables, write
 /// logs and PRAM machine) can share one plan from any number of threads
 /// with no synchronisation; `serve::SessionPool` relies on exactly this.
-/// `BatchSolver` and `serve::SolverService` build one plan per distinct
+/// `serve::SolverService` builds one plan per distinct
 /// `(n, options)` and run every same-shape instance through it;
 /// `SublinearSolver` and `core::solve` are thin facades that build (or
 /// reuse) a plan per call site. Building a plan is the expensive step —

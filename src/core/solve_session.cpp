@@ -20,7 +20,8 @@ SolveSession::SolveSession(std::shared_ptr<const SolvePlan> plan,
 void SolveSession::reset(const dp::Problem& problem) {
   SUBDP_REQUIRE(problem.size() == plan_->n(),
                 "instance size does not match the session's plan; build a "
-                "plan per shape (BatchSolver groups instances for you)");
+                "plan per shape (serve::SolverService groups instances for "
+                "you)");
   trace_.clear();
   machine_->reset();
   if (plan_->trivial()) {

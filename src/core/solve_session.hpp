@@ -30,7 +30,7 @@
 /// stepping or reading requires another `reset`. Misordered calls fail
 /// with a `SUBDP_REQUIRE` diagnostic instead of touching a dangling or
 /// stale engine. `solve(problem)` is the whole cycle in one call and may
-/// be repeated ad libitum — that is the `BatchSolver` hot loop.
+/// be repeated ad libitum — that is the serving workers' hot loop.
 
 #include <cstddef>
 #include <memory>

@@ -6,6 +6,7 @@
 /// PRAM work/depth ledger and CREW checking are the reference engine's.
 
 #include <chrono>
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -115,11 +116,16 @@ struct SublinearOptions {
   /// default; when off the engine takes no per-cell profiling branches
   /// and reads no clock, so results are untouched (asserted in the
   /// fastpath suite).
-  /// Keyed into `serve::PlanKey` so profiled and unprofiled sessions
-  /// never share a pool.
   bool profile = false;
   /// Host execution backend and CREW checking (`kReference` only).
   pram::MachineOptions machine;
+
+  /// Member-wise, in declaration order: `serve::PlanKey` orders by this,
+  /// so every field keys the plan cache (`profile` too — profiled and
+  /// unprofiled sessions never share a pool). The snapshot key is the
+  /// plan-shaping subset, everything but `profile`; a new plan-shaping
+  /// field goes into the snapshot header too (snapshot/plan_snapshot.cpp).
+  auto operator<=>(const SublinearOptions&) const = default;
 };
 
 /// One iteration's engine profile (`SublinearOptions::profile`). Counters
@@ -257,8 +263,7 @@ class AdmissionError : public std::runtime_error {
                                                : "deadline-exceeded";
 }
 
-/// Aggregate accounting for one `solve_all` call (`BatchSolver` and
-/// `serve::SolverService` both report through this).
+/// Aggregate accounting for one `serve::SolverService::solve_all` call.
 struct BatchLedger {
   std::size_t instances = 0;      ///< Problems solved.
   std::size_t shape_groups = 0;   ///< Distinct `n` among the inputs.

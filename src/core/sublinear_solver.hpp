@@ -21,7 +21,7 @@
 /// one solver re-initialises tables in place instead of rebuilding entry
 /// lists and reallocating pw storage. Power users hold plans and sessions
 /// directly (many sessions per plan, one per worker); batch workloads go
-/// through `BatchSolver` (batch_solver.hpp).
+/// through `serve::SolverService` (serve/solver_service.hpp).
 ///
 /// Typical use:
 /// ```

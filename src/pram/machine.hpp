@@ -23,6 +23,7 @@
 ///    inlines into the worker loop, and nothing is charged. Results are
 ///    identical by construction; only the accounting differs.
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -39,6 +40,9 @@ namespace subdp::pram {
 struct MachineOptions {
   Backend backend = default_backend();
   bool check_crew = false;  ///< Enable write-write conflict detection.
+
+  /// Member-wise, in declaration order (part of `serve::PlanKey`).
+  auto operator<=>(const MachineOptions&) const = default;
 };
 
 /// Executes and accounts synchronous PRAM steps.

@@ -8,23 +8,6 @@
 
 namespace subdp::serve {
 
-PlanKey PlanKey::make(std::size_t n,
-                      const core::SublinearOptions& options) {
-  PlanKey key;
-  key.n = n;
-  key.variant = options.variant;
-  key.square_mode = options.square_mode;
-  key.termination = options.termination;
-  key.band_width = options.band_width;
-  key.max_iterations = options.max_iterations;
-  key.windowed_pebble = options.windowed_pebble;
-  key.engine = options.engine;
-  key.profile = options.profile;
-  key.backend = options.machine.backend;
-  key.check_crew = options.machine.check_crew;
-  return key;
-}
-
 PlanCache::PlanCache(std::size_t capacity, std::size_t sessions_per_plan,
                      std::shared_ptr<snapshot::SnapshotStore> store)
     : capacity_(capacity),
@@ -38,7 +21,7 @@ PlanCache::PlanCache(std::size_t capacity, std::size_t sessions_per_plan,
 std::shared_ptr<SessionPool> PlanCache::acquire(
     std::size_t n, const core::SublinearOptions& options, bool* built,
     BuildSource* source) {
-  const PlanKey key = PlanKey::make(n, options);
+  const PlanKey key{n, options};
   std::shared_ptr<Slot> slot;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -55,12 +38,12 @@ std::shared_ptr<SessionPool> PlanCache::acquire(
       insert_mru(key, slot);
     }
   }
-  return finish_build(key, slot, n, options, source);
+  return finish_build(key, slot, source);
 }
 
 std::shared_ptr<SessionPool> PlanCache::try_acquire(
     std::size_t n, const core::SublinearOptions& options, PlanState* state) {
-  const PlanKey key = PlanKey::make(n, options);
+  const PlanKey key{n, options};
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(key);
   if (it != index_.end()) {
@@ -83,7 +66,7 @@ std::shared_ptr<SessionPool> PlanCache::try_acquire(
 std::shared_ptr<SessionPool> PlanCache::build(
     std::size_t n, const core::SublinearOptions& options,
     BuildSource* source) {
-  const PlanKey key = PlanKey::make(n, options);
+  const PlanKey key{n, options};
   std::shared_ptr<Slot> slot;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -98,7 +81,7 @@ std::shared_ptr<SessionPool> PlanCache::build(
       insert_mru(key, slot);
     }
   }
-  return finish_build(key, slot, n, options, source);
+  return finish_build(key, slot, source);
 }
 
 void PlanCache::set_build_observer(
@@ -109,8 +92,8 @@ void PlanCache::set_build_observer(
 }
 
 std::shared_ptr<SessionPool> PlanCache::finish_build(
-    const PlanKey& key, const std::shared_ptr<Slot>& slot, std::size_t n,
-    const core::SublinearOptions& options, BuildSource* source) {
+    const PlanKey& key, const std::shared_ptr<Slot>& slot,
+    BuildSource* source) {
   // The expensive O(n^2 B^2) build happens here, with the cache-wide
   // lock released: only same-key requesters block (on build_mutex) and
   // then share the finished pool.
@@ -138,12 +121,12 @@ std::shared_ptr<SessionPool> PlanCache::finish_build(
     const obs::Clock::time_point t0 =
         timing ? observer_clock_->now() : obs::Clock::time_point();
     std::shared_ptr<const core::SolvePlan> plan;
-    if (store_ != nullptr) plan = store_->load(n, options);
+    if (store_ != nullptr) plan = store_->load(key.n, key.options);
     const bool loaded = plan != nullptr;
     if (timing && loaded) {
       report.snapshot_load_ns = elapsed_ns(t0, observer_clock_->now());
     }
-    if (!loaded) plan = core::SolvePlan::create(n, options);
+    if (!loaded) plan = core::SolvePlan::create(key.n, key.options);
     pool = std::make_shared<SessionPool>(std::move(plan), sessions_per_plan_);
     if (store_ != nullptr && !loaded) store_->save_async(pool->plan_ptr());
     report.source = loaded ? BuildSource::kSnapshot : BuildSource::kBuilt;
@@ -184,7 +167,7 @@ void PlanCache::insert_mru(const PlanKey& key, std::shared_ptr<Slot> slot) {
 std::shared_ptr<const core::SolvePlan> PlanCache::peek(
     std::size_t n, const core::SublinearOptions& options) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(PlanKey::make(n, options));
+  const auto it = index_.find(PlanKey{n, options});
   if (it == index_.end()) return nullptr;
   const auto& pool = it->second->slot->pool;  // null while still building
   return pool != nullptr ? pool->plan_ptr() : nullptr;

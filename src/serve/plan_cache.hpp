@@ -6,11 +6,10 @@
 ///
 /// Building a plan is the expensive step of a solve — O(n^2 B^2) entry
 /// lists, offset tables and slot maps — and plans are immutable, so a
-/// server wants to build each shape once and share it. `BatchSolver`
-/// already did that, but kept every shape it had ever seen (an unbounded
-/// map, flagged in ROADMAP.md). `PlanCache` bounds it: at most `capacity`
-/// shapes stay resident, evicted least-recently-used, with hit / miss /
-/// eviction counters surfaced through `ServiceStats`.
+/// server wants to build each shape once and share it. `PlanCache` does
+/// that within a bound: at most `capacity` shapes stay resident, evicted
+/// least-recently-used, with hit / miss / eviction counters surfaced
+/// through `ServiceStats`.
 ///
 /// Each cached shape carries its `SessionPool` alongside the plan, so
 /// eviction retires the sessions (the allocated tables) together with the
@@ -19,11 +18,9 @@
 /// until the last lease returns; a re-request of that key is a fresh miss
 /// that rebuilds the plan.
 ///
-/// The key covers every option field that shapes a plan (layout variant,
-/// square mode, termination, band, caps, engine kind, machine
-/// configuration), so two clients asking for the same `n` under different
-/// options get distinct plans — and distinct pools — as correctness
-/// requires.
+/// The key is `n` plus the whole `SublinearOptions` (`PlanKey`), so two
+/// clients asking for the same `n` under different options get distinct
+/// plans — and distinct pools — as correctness requires.
 ///
 /// Thread-safety: all methods may be called from any thread. A miss
 /// inserts a placeholder under the cache-wide lock, then builds the plan
@@ -52,7 +49,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <tuple>
 #include <vector>
 
 #include "core/solve_plan.hpp"
@@ -67,35 +63,13 @@ class SnapshotStore;
 namespace subdp::serve {
 
 /// Total order over everything that distinguishes one plan (and the
-/// machine configuration of its sessions) from another.
+/// machine configuration of its sessions) from another: the shape `n`,
+/// then the options' own member-wise order.
 struct PlanKey {
   std::size_t n = 0;
-  core::PwVariant variant = core::PwVariant::kBanded;
-  core::SquareMode square_mode = core::SquareMode::kHlvOneLevel;
-  core::TerminationMode termination = core::TerminationMode::kFixedPoint;
-  std::size_t band_width = 0;
-  std::size_t max_iterations = 0;
-  bool windowed_pebble = false;
-  core::EngineKind engine = core::EngineKind::kFast;
-  /// Per-step profiling changes what a session records (engine profile
-  /// state), so profiled and unprofiled requests must not share pools —
-  /// the toggle is part of the key even though it leaves plan geometry
-  /// untouched.
-  bool profile = false;
-  pram::Backend backend = pram::default_backend();
-  bool check_crew = false;
+  core::SublinearOptions options;
 
-  [[nodiscard]] static PlanKey make(std::size_t n,
-                                    const core::SublinearOptions& options);
-
-  friend bool operator<(const PlanKey& a, const PlanKey& b) {
-    auto tie = [](const PlanKey& k) {
-      return std::tuple(k.n, k.variant, k.square_mode, k.termination,
-                        k.band_width, k.max_iterations, k.windowed_pebble,
-                        k.engine, k.profile, k.backend, k.check_crew);
-    };
-    return tie(a) < tie(b);
-  }
+  auto operator<=>(const PlanKey&) const = default;
 };
 
 /// Build state of one cached key, as observed by `try_acquire`.
@@ -183,7 +157,7 @@ class PlanCache {
                           std::function<void(const BuildReport&)> observer);
 
   /// The resident plan for `(n, options)`, or null — no stats recorded,
-  /// no LRU reordering (diagnostic lookups, `BatchSolver::plan_for`).
+  /// no LRU reordering (diagnostic lookups, `SolverService::plan_for`).
   [[nodiscard]] std::shared_ptr<const core::SolvePlan> peek(
       std::size_t n, const core::SublinearOptions& options) const;
 
@@ -219,8 +193,8 @@ class PlanCache {
   /// on a failed build and re-inserts the entry if it was dropped or
   /// evicted mid-build. Requires `mutex_` *not* held.
   [[nodiscard]] std::shared_ptr<SessionPool> finish_build(
-      const PlanKey& key, const std::shared_ptr<Slot>& slot, std::size_t n,
-      const core::SublinearOptions& options, BuildSource* source);
+      const PlanKey& key, const std::shared_ptr<Slot>& slot,
+      BuildSource* source);
 
   std::size_t capacity_;
   std::size_t sessions_per_plan_;

@@ -49,8 +49,7 @@ core::SublinearOptions SolverService::normalized(
     core::SublinearOptions options) const {
   // Multi-worker sessions run the serial backend (instance-level
   // parallelism already covers the cores); a one-worker service keeps the
-  // caller's backend, so the BatchSolver facade behaves exactly like the
-  // pre-service BatchSolver.
+  // caller's backend, so each solve runs as configured.
   if (workers_ > 1) options.machine.backend = pram::Backend::kSerial;
   return options;
 }
@@ -157,62 +156,13 @@ SolverService::~SolverService() {
 }
 
 std::future<core::SublinearResult> SolverService::submit(
-    const dp::Problem& problem) {
-  return submit_job(problem, options_.solver, options_.default_priority,
-                    false, Deadline{});
-}
-
-std::future<core::SublinearResult> SolverService::submit(
-    const dp::Problem& problem, const core::SublinearOptions& options) {
-  return submit_job(problem, options, options_.default_priority, false,
-                    Deadline{});
-}
-
-std::future<core::SublinearResult> SolverService::submit(
-    const dp::Problem& problem, Deadline deadline) {
-  return submit_job(problem, options_.solver, options_.default_priority,
-                    true, deadline);
-}
-
-std::future<core::SublinearResult> SolverService::submit(
-    const dp::Problem& problem, const core::SublinearOptions& options,
-    Deadline deadline) {
-  return submit_job(problem, options, options_.default_priority, true,
-                    deadline);
-}
-
-std::future<core::SublinearResult> SolverService::submit(
-    const dp::Problem& problem, PriorityClass priority) {
-  return submit_job(problem, options_.solver, priority, false, Deadline{});
-}
-
-std::future<core::SublinearResult> SolverService::submit(
-    const dp::Problem& problem, PriorityClass priority, Deadline deadline) {
-  return submit_job(problem, options_.solver, priority, true, deadline);
-}
-
-std::future<core::SublinearResult> SolverService::submit(
-    const dp::Problem& problem, const core::SublinearOptions& options,
-    PriorityClass priority) {
-  return submit_job(problem, options, priority, false, Deadline{});
-}
-
-std::future<core::SublinearResult> SolverService::submit(
-    const dp::Problem& problem, const core::SublinearOptions& options,
-    PriorityClass priority, Deadline deadline) {
-  return submit_job(problem, options, priority, true, deadline);
-}
-
-std::future<core::SublinearResult> SolverService::submit_job(
-    const dp::Problem& problem, const core::SublinearOptions& options,
-    PriorityClass priority, bool has_deadline, Deadline deadline) {
+    const dp::Problem& problem, const SubmitOptions& request) {
   Job job;
   job.problem = &problem;
-  job.solve_options = normalized(options);
+  job.solve_options = normalized(request.solver.value_or(options_.solver));
   job.has_promise = true;
-  job.priority = priority;
-  job.has_deadline = has_deadline;
-  job.deadline = deadline;
+  job.priority = request.priority.value_or(options_.default_priority);
+  job.deadline = request.deadline;
   job.id = next_job_id_.fetch_add(1, std::memory_order_relaxed);
   job.submit_time = clock_->now();
   trace(job.id, obs::TraceEventKind::kSubmit);
@@ -478,12 +428,8 @@ bool SolverService::defer_to_builder(Job&& job) {
     // Park the job on its shape's entry (created on first defer). Jobs
     // arriving while a builder already owns the entry's build simply
     // join it and are resolved by that same build.
-    ColdShape& shape =
-        builder_shapes_[PlanKey::make(job.problem->size(),
-                                      job.solve_options)];
-    shape.n = job.problem->size();
-    shape.options = job.solve_options;
-    shape.jobs.push_back(std::move(job));
+    builder_shapes_[PlanKey{job.problem->size(), job.solve_options}]
+        .jobs.push_back(std::move(job));
   }
   builder_cv_.notify_one();
   return true;
@@ -522,8 +468,6 @@ void SolverService::builder_loop() {
     // prevents here).
     claimed->second.in_progress = true;
     const PlanKey key = claimed->first;
-    const std::size_t n = claimed->second.n;
-    const core::SublinearOptions build_options = claimed->second.options;
     lock.unlock();
     // Once per shape build, not per waiting job (see ServiceOptions).
     if (options_.cold_build_hook) options_.cold_build_hook();
@@ -533,7 +477,7 @@ void SolverService::builder_loop() {
     try {
       // The deferring try_acquire already counted the shape's one cache
       // miss; every job that joined the entry shares this single build.
-      pool = cache_.build(n, build_options, &source);
+      pool = cache_.build(key.n, key.options, &source);
     } catch (...) {
       // Plan validation failed: every waiting job's future carries the
       // error, exactly as when workers built inline.
@@ -572,7 +516,7 @@ std::size_t SolverService::sweep_expired_locked(obs::Clock::time_point now) {
         JobRank{static_cast<int>(cls), Deadline::min(), 0});
     while (it != queue_.end() &&
            static_cast<std::size_t>(it->priority) == cls &&
-           it->has_deadline && it->deadline <= now) {
+           it->deadline && *it->deadline <= now) {
       auto node = queue_.extract(it++);
       expire_job(node.value());
       ++freed;

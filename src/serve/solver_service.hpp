@@ -10,7 +10,7 @@
 /// `PlanCache` so shape diversity cannot grow memory server-lifetime
 /// large, and per-plan `SessionPool`s whose sessions are `reset` in place
 /// between instances. The service adds the missing piece named in
-/// ROADMAP.md: *instance-level* parallelism. Where `BatchSolver` streamed
+/// ROADMAP.md: *instance-level* parallelism. Rather than streaming
 /// same-shape instances through one session serially (all parallelism
 /// inside a single solve), the service keeps a pool of `workers`
 /// long-lived worker threads consuming a shared dispatch queue, each
@@ -41,8 +41,8 @@
 /// ## QoS intake: priority classes and EDF dispatch
 ///
 /// The dispatch queue is not FIFO. Every job carries a **priority
-/// class** (`PriorityClass::kInteractive` or `kBatch`; `submit`
-/// overloads take one explicitly, otherwise
+/// class** (`PriorityClass::kInteractive` or `kBatch`; a `submit` names
+/// one in `SubmitOptions::priority`, otherwise
 /// `ServiceOptions::default_priority` applies, and `solve_all` traffic
 /// is always `kBatch`) and workers dequeue in **EDF order**: jobs are
 /// ordered by `(priority class, deadline, submit sequence)` — every
@@ -55,8 +55,8 @@
 /// (`ServiceStats::interactive` / `::batch`) account each class
 /// separately; their sums equal the global counters.
 ///
-/// Jobs may also carry a **deadline** (`submit` overloads taking a
-/// `Deadline`, a `std::chrono::steady_clock` time point). There is no
+/// Jobs may also carry a **deadline** (`SubmitOptions::deadline`, a
+/// `std::chrono::steady_clock` time point). There is no
 /// timer thread; instead expiry is a **lazy sweep** run at the two
 /// points the queue is already locked: when a worker picks up work and
 /// when an admission finds the bounded queue full. Within a class,
@@ -76,8 +76,8 @@
 /// instance is solved; per-job expiry would tear the ledger and the
 /// input-order result contract) and it **never rejects** — at capacity
 /// it back-pressures the *calling* thread while workers drain,
-/// whatever the overload policy. `BatchSolver` therefore keeps its
-/// exact pre-service semantics under the new defaults.
+/// whatever the overload policy, so its ledger and results never depend
+/// on the admission settings.
 ///
 /// ## Retry-after hints
 ///
@@ -160,11 +160,10 @@
 /// machine backend to `kSerial`: with instances already covering the
 /// cores, intra-solve threading has nothing left to win (a scheduling
 /// choice; the shared pool is safe for concurrent issuers). A one-worker
-/// service (the `BatchSolver` facade) keeps the caller's configured
-/// backend, so the old `BatchSolver` behavior (parallelism inside each
-/// solve) is preserved exactly. Normalisation happens before keying the
-/// cache, so the `(n, options)` key space is not split by ignored backend
-/// choices.
+/// service keeps the caller's configured backend: instances stream one
+/// at a time, with the parallelism inside each solve. Normalisation
+/// happens before keying the cache, so the `(n, options)` key space is
+/// not split by ignored backend choices.
 ///
 /// ```
 /// serve::ServiceOptions opts;
@@ -174,7 +173,11 @@
 /// auto future = service.submit(problem);         // async; may throw
 ///                                                // AdmissionError
 /// auto timed  = service.submit(problem,          // with a deadline
-///     std::chrono::steady_clock::now() + std::chrono::seconds(2));
+///     {.deadline = std::chrono::steady_clock::now() +
+///                  std::chrono::seconds(2)});
+/// auto dense  = service.submit(problem,          // per-call options,
+///     {.solver = dense_options,                  // batch class
+///      .priority = serve::PriorityClass::kBatch});
 /// auto batch  = service.solve_all(instances);    // blocking, ordered,
 ///                                                // never shed
 /// auto stats  = service.stats();                 // cache + pool +
@@ -193,6 +196,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <span>
 #include <thread>
@@ -230,9 +234,9 @@ using Deadline = std::chrono::steady_clock::time_point;
 /// `(priority class, deadline, submit seq)`, so every interactive job
 /// dequeues ahead of every batch job. `solve_all` traffic is always
 /// `kBatch`; `submit` jobs default to `ServiceOptions::default_priority`
-/// unless an overload names a class. Enumerator values are the queue-rank
-/// sort keys (and the per-class accounting indices) — keep `kInteractive`
-/// lowest.
+/// unless `SubmitOptions::priority` names a class. Enumerator values are
+/// the queue-rank sort keys (and the per-class accounting indices) — keep
+/// `kInteractive` lowest.
 enum class PriorityClass : int {
   kInteractive = 0,  ///< Latency-sensitive; dequeued first.
   kBatch = 1,        ///< Throughput traffic; yields to interactive.
@@ -255,8 +259,8 @@ inline constexpr std::chrono::nanoseconds kRetryAfterConservativeDefault =
 
 /// Configuration of a `SolverService`.
 struct ServiceOptions {
-  /// Solver configuration applied to `submit(problem)` / `solve_all`
-  /// calls that do not carry their own options. The machine backend is
+  /// Solver configuration applied to `submit` / `solve_all` calls that
+  /// do not carry their own options. The machine backend is
   /// normalised to `kSerial` when `workers > 1` (see the file comment).
   core::SublinearOptions solver;
   /// Worker threads executing solves (0 = `hardware_concurrency`).
@@ -298,12 +302,21 @@ struct ServiceOptions {
   /// timestamps (null = the shared `obs::SteadyClock`). Tests inject an
   /// `obs::ManualClock` to drive expiry and latency deterministically.
   std::shared_ptr<const obs::Clock> clock;
-  /// Trace-ring capacity per stripe (the service keeps `workers + 2`
-  /// stripes: one per long-lived thread, probabilistically, plus slack
-  /// for submitters). 0 disables per-job tracing entirely; overflow
-  /// never blocks — excess events are counted in
+  /// Trace-ring capacity per stripe (the service keeps `workers +
+  /// builders + 1` stripes: one per long-lived thread, probabilistically,
+  /// plus one of slack for submitters). 0 disables per-job tracing
+  /// entirely; overflow never blocks — excess events are counted in
   /// `ServiceStats::trace_dropped` instead of recorded.
   std::size_t trace_capacity = 8192;
+};
+
+/// Per-call settings of `SolverService::submit`. An empty field takes the
+/// service default: `ServiceOptions::solver`,
+/// `ServiceOptions::default_priority`, and no deadline.
+struct SubmitOptions {
+  std::optional<core::SublinearOptions> solver;
+  std::optional<PriorityClass> priority;
+  std::optional<Deadline> deadline;
 };
 
 /// Per-priority-class slice of the admission ledger plus that class's
@@ -398,41 +411,28 @@ class SolverService {
   SolverService(const SolverService&) = delete;
   SolverService& operator=(const SolverService&) = delete;
 
-  /// Asynchronously solves `problem` under the service options (or the
-  /// per-call `options` overload), optionally bounded by `deadline` and
-  /// classed by `priority` (`ServiceOptions::default_priority` when no
-  /// overload names one — see the file comment's QoS section for the
-  /// dequeue order). The problem must stay alive until the future is
-  /// ready. Safe from any thread, including concurrently. With a
-  /// bounded queue this may block (`kBlock`) or throw
+  /// Asynchronously solves `problem` under `request.solver`, classed by
+  /// `request.priority` (see the file comment's QoS section for the
+  /// dequeue order) and optionally bounded by `request.deadline`; empty
+  /// fields take the service defaults. The problem must stay alive until
+  /// the future is ready. Safe from any thread, including concurrently.
+  /// With a bounded queue this may block (`kBlock`) or throw
   /// `core::AdmissionError` (`kReject`, carrying a retry-after hint); a
   /// job whose deadline passes before pickup resolves its future with
   /// `core::AdmissionError` instead of solving.
   [[nodiscard]] std::future<core::SublinearResult> submit(
-      const dp::Problem& problem);
-  [[nodiscard]] std::future<core::SublinearResult> submit(
-      const dp::Problem& problem, const core::SublinearOptions& options);
-  [[nodiscard]] std::future<core::SublinearResult> submit(
-      const dp::Problem& problem, Deadline deadline);
-  [[nodiscard]] std::future<core::SublinearResult> submit(
-      const dp::Problem& problem, const core::SublinearOptions& options,
-      Deadline deadline);
-  [[nodiscard]] std::future<core::SublinearResult> submit(
-      const dp::Problem& problem, PriorityClass priority);
+      const dp::Problem& problem, const SubmitOptions& request = {});
+  /// `submit(problem, {.priority = priority, .deadline = deadline})`.
   [[nodiscard]] std::future<core::SublinearResult> submit(
       const dp::Problem& problem, PriorityClass priority,
-      Deadline deadline);
-  [[nodiscard]] std::future<core::SublinearResult> submit(
-      const dp::Problem& problem, const core::SublinearOptions& options,
-      PriorityClass priority);
-  [[nodiscard]] std::future<core::SublinearResult> submit(
-      const dp::Problem& problem, const core::SublinearOptions& options,
-      PriorityClass priority, Deadline deadline);
+      std::optional<Deadline> deadline = std::nullopt) {
+    return submit(problem, SubmitOptions{.priority = priority,
+                                         .deadline = deadline});
+  }
 
   /// Solves every instance, blocking until all are done. Groups by shape
   /// for the ledger, dispatches instances across the workers, returns
-  /// results in input order — a drop-in superset of
-  /// `BatchSolver::solve_all`. Batch jobs bypass admission shedding:
+  /// results in input order. Batch jobs bypass admission shedding:
   /// they carry no deadline and are never rejected (at capacity the
   /// *caller* blocks while workers drain). Safe from any thread; must
   /// not be called from a job running on this service (the caller
@@ -504,9 +504,8 @@ class SolverService {
     std::size_t slot = 0;
     /// EDF rank, major key: interactive dequeues ahead of batch.
     PriorityClass priority = PriorityClass::kInteractive;
-    /// Expiry instant; only submit jobs carry one (`has_deadline`).
-    bool has_deadline = false;
-    Deadline deadline{};
+    /// Expiry instant; only submit jobs carry one.
+    std::optional<Deadline> deadline;
     /// Observability: service-unique id (trace `tid`), the submit and
     /// enqueue instants on the service clock, and whether queue wait was
     /// already recorded (a cold-deferred job is dequeued twice; only the
@@ -532,8 +531,7 @@ class SolverService {
 
   [[nodiscard]] static JobRank rank_of(const Job& job) noexcept {
     return JobRank{static_cast<int>(job.priority),
-                   job.has_deadline ? job.deadline : Deadline::max(),
-                   job.id};
+                   job.deadline.value_or(Deadline::max()), job.id};
   }
 
   /// Strict weak order over queued jobs (and, transparently, bare
@@ -558,12 +556,11 @@ class SolverService {
     }
   };
 
-  /// One cold plan shape parked at the builder pool: the jobs waiting
-  /// on its build plus whether a builder currently owns it. Guarded by
-  /// `builder_mutex_`; the build itself runs with the mutex released.
+  /// One cold plan shape parked at the builder pool (keyed by its
+  /// normalised `PlanKey`): the jobs waiting on its build plus whether a
+  /// builder currently owns it. Guarded by `builder_mutex_`; the build
+  /// itself runs with the mutex released.
   struct ColdShape {
-    std::size_t n = 0;
-    core::SublinearOptions options;  ///< Normalised (cache-key) options.
     std::deque<Job> jobs;
     bool in_progress = false;
   };
@@ -571,10 +568,6 @@ class SolverService {
   /// Applies the `workers > 1` backend normalisation; see file comment.
   [[nodiscard]] core::SublinearOptions normalized(
       core::SublinearOptions options) const;
-
-  [[nodiscard]] std::future<core::SublinearResult> submit_job(
-      const dp::Problem& problem, const core::SublinearOptions& options,
-      PriorityClass priority, bool has_deadline, Deadline deadline);
 
   /// Admission for one submit job: counts the submission, applies the
   /// bounded-queue policy (throws `AdmissionError` under `kReject`,

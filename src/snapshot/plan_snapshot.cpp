@@ -91,17 +91,23 @@ void fill_key(SnapshotHeader& h, std::size_t n,
   h.check_crew = o.machine.check_crew ? 1 : 0;
 }
 
+/// The header's key fields: the fixed-offset run from `n` up to `pad`,
+/// with no padding inside it. `snapshot_file_name` hashes these bytes and
+/// `key_matches` compares them.
+constexpr std::size_t kKeyBegin = offsetof(SnapshotHeader, n);
+constexpr std::size_t kKeyBytes = offsetof(SnapshotHeader, pad) - kKeyBegin;
+static_assert(kKeyBytes == 3 * sizeof(std::uint64_t) + 7,
+              "snapshot key fields must be contiguous");
+
+[[nodiscard]] const std::uint8_t* key_bytes(const SnapshotHeader& h) {
+  return reinterpret_cast<const std::uint8_t*>(&h) + kKeyBegin;
+}
+
 [[nodiscard]] bool key_matches(const SnapshotHeader& h, std::size_t n,
                                const core::SublinearOptions& o) {
   SnapshotHeader want{};
   fill_key(want, n, o);
-  return h.n == want.n && h.band_width == want.band_width &&
-         h.max_iterations == want.max_iterations &&
-         h.variant == want.variant && h.square_mode == want.square_mode &&
-         h.termination == want.termination &&
-         h.windowed_pebble == want.windowed_pebble &&
-         h.engine == want.engine && h.backend == want.backend &&
-         h.check_crew == want.check_crew;
+  return std::memcmp(key_bytes(h), key_bytes(want), kKeyBytes) == 0;
 }
 
 /// Appends one section to `out`, 16-byte aligned, zero-padded.
@@ -196,12 +202,8 @@ std::string snapshot_file_name(std::size_t n,
                                const core::SublinearOptions& options) {
   SnapshotHeader key{};
   fill_key(key, n, options);
-  // Hash the key fields only (the fixed-offset prefix after the magic/
-  // version words), so the name is a pure function of the shape.
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(&key);
-  const std::uint64_t hash =
-      fnv1a64(bytes + offsetof(SnapshotHeader, n),
-              offsetof(SnapshotHeader, pad) - offsetof(SnapshotHeader, n));
+  // Hash the key fields only, so the name is a pure function of the shape.
+  const std::uint64_t hash = fnv1a64(key_bytes(key), kKeyBytes);
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(hash));

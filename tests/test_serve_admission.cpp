@@ -276,7 +276,7 @@ TEST(Admission, ExpiredDeadlineResolvesWithoutSolving) {
             dp::solve_sequential(warm).cost);
 
   auto expired = service.submit(
-      probe, manual->now() - std::chrono::seconds(1));
+      probe, {.deadline = manual->now() - std::chrono::seconds(1)});
   expect_admission_error(expired, AdmissionError::Kind::kDeadlineExceeded);
   EXPECT_EQ(probe.calls(), 0u)
       << "an expired job must never touch the problem";
@@ -284,7 +284,7 @@ TEST(Admission, ExpiredDeadlineResolvesWithoutSolving) {
   // A deadline one tick ahead of the (frozen) manual clock solves
   // normally — and bit-identically.
   auto in_time = service.submit(
-      probe, manual->now() + std::chrono::nanoseconds(1));
+      probe, {.deadline = manual->now() + std::chrono::nanoseconds(1)});
   core::SublinearSolver independent;
   const auto expected = independent.solve(probe);
   const auto got = in_time.get();
@@ -326,7 +326,7 @@ TEST(Admission, StatsCountersMatchExactExpectedValues) {
   // 3: queue a job already expired on the manual clock; 4: queue a
   // normal job (queue full).
   auto expired = service.submit(
-      doomed, manual->now() - std::chrono::seconds(1));
+      doomed, {.deadline = manual->now() - std::chrono::seconds(1)});
   auto ok = service.submit(normal);
   // 5: the overflow submit *sweeps the expired job out* and takes its
   // slot — a queue full of expired work admits instead of shedding.

@@ -171,19 +171,25 @@ void run_caller(SolverService& service, const FuzzWorkload& load,
         job.priority = priority;
         switch (deadline) {
           case DeadlineMix::kNone:
-            job.future = service.submit(*load.problems[s], load.options[o],
-                                        priority);
+            job.future = service.submit(
+                *load.problems[s],
+                {.solver = load.options[o], .priority = priority});
             break;
           case DeadlineMix::kFarFuture:
             job.future = service.submit(
-                *load.problems[s], load.options[o], priority,
-                std::chrono::steady_clock::now() + std::chrono::hours(1));
+                *load.problems[s],
+                {.solver = load.options[o],
+                 .priority = priority,
+                 .deadline = std::chrono::steady_clock::now() +
+                             std::chrono::hours(1)});
             break;
           case DeadlineMix::kAlreadyExpired:
             job.future = service.submit(
-                *load.problems[s], load.options[o], priority,
-                std::chrono::steady_clock::now() -
-                    std::chrono::milliseconds(1));
+                *load.problems[s],
+                {.solver = load.options[o],
+                 .priority = priority,
+                 .deadline = std::chrono::steady_clock::now() -
+                             std::chrono::milliseconds(1)});
             break;
         }
         pending.push_back(std::move(job));

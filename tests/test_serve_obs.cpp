@@ -65,7 +65,7 @@ TEST(ServiceTrace, CoversCompletedColdDeferredRejectedAndExpiredJobs) {
   // Expired: on the manual clock the deadline is deterministically in
   // the past at pickup — no sleeping, no racing the worker.
   auto doomed = service.submit(
-      problem, manual->now() - std::chrono::milliseconds(1));
+      problem, {.deadline = manual->now() - std::chrono::milliseconds(1)});
   EXPECT_THROW((void)doomed.get(), core::AdmissionError);
 
   const std::string trace = service.export_trace();
@@ -229,7 +229,7 @@ TEST(ServiceStatsSnapshot, AdmissionInvariantStillHoldsWithObservability) {
   // another rejection.
   for (auto& f : futures) (void)f.get();
   auto doomed = service.submit(
-      problem, manual->now() - std::chrono::milliseconds(1));
+      problem, {.deadline = manual->now() - std::chrono::milliseconds(1)});
   EXPECT_THROW((void)doomed.get(), core::AdmissionError);
 
   const ServiceStats stats = service.stats();

@@ -7,8 +7,12 @@
 
 #include <chrono>
 #include <future>
+#include <functional>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dp/matrix_chain.hpp"
@@ -152,6 +156,42 @@ TEST(PlanCache, KeysOnOptionsNotJustN) {
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(a->plan().effective_band(), support::two_ceil_sqrt(16));
   EXPECT_EQ(b->plan().effective_band(), 3u);
+}
+
+TEST(PlanKey, EveryOptionFieldGivesADistinctKey) {
+  // Each field changed from its default in turn, `profile` included:
+  // profiled and unprofiled sessions must never share a pool.
+  using Mutation = std::function<void(core::SublinearOptions&)>;
+  const std::vector<std::pair<std::string, Mutation>> mutations = {
+      {"variant", [](auto& o) { o.variant = core::PwVariant::kDense; }},
+      {"square_mode",
+       [](auto& o) { o.square_mode = core::SquareMode::kRytterFull; }},
+      {"termination",
+       [](auto& o) { o.termination = core::TerminationMode::kFixedBound; }},
+      {"band_width", [](auto& o) { o.band_width = 5; }},
+      {"max_iterations", [](auto& o) { o.max_iterations = 7; }},
+      {"windowed_pebble", [](auto& o) { o.windowed_pebble = true; }},
+      {"engine", [](auto& o) { o.engine = core::EngineKind::kReference; }},
+      {"profile", [](auto& o) { o.profile = true; }},
+      {"machine.backend",
+       [](auto& o) {
+         o.machine.backend = o.machine.backend == pram::Backend::kSerial
+                                 ? pram::Backend::kThreadPool
+                                 : pram::Backend::kSerial;
+       }},
+      {"machine.check_crew", [](auto& o) { o.machine.check_crew = true; }},
+  };
+  const PlanKey base{16, {}};
+  std::set<PlanKey> keys = {base};
+  for (const auto& [field, mutate] : mutations) {
+    core::SublinearOptions options;
+    mutate(options);
+    const PlanKey key{16, options};
+    EXPECT_TRUE(key < base || base < key) << field;
+    EXPECT_TRUE(keys.insert(key).second) << field << " collides";
+  }
+  const PlanKey other_n{17, {}};
+  EXPECT_TRUE(other_n < base || base < other_n);
 }
 
 TEST(PlanCache, EvictedPoolStaysAliveWhileLeased) {

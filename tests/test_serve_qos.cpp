@@ -242,9 +242,10 @@ TEST(ServeQos, EdfDequeuesInDeadlineOrderNotSubmitOrder) {
   // Submit order 1, 2, 3 — deadline order 3, 2, 1 (all far in the
   // future: nothing expires; the deadlines only *rank*).
   using std::chrono::hours;
-  auto f_late = service.submit(late, manual->now() + hours(3));
-  auto f_middle = service.submit(middle, manual->now() + hours(2));
-  auto f_early = service.submit(early, manual->now() + hours(1));
+  auto f_late = service.submit(late, {.deadline = manual->now() + hours(3)});
+  auto f_middle =
+      service.submit(middle, {.deadline = manual->now() + hours(2)});
+  auto f_early = service.submit(early, {.deadline = manual->now() + hours(1)});
 
   gated.gate()->open_gate();
   EXPECT_EQ(pinned.get().cost, dp::solve_sequential(gated.inner()).cost);
@@ -288,9 +289,9 @@ TEST(ServeQos, ExpirySweepFreesAFullQueueWithoutAWorkerPickup) {
   // deadline pass with the worker still pinned.
   using std::chrono::milliseconds;
   const Deadline deadline = manual->now() + milliseconds(10);
-  auto f_a = service.submit(doomed_a, deadline);
-  auto f_b = service.submit(doomed_b, deadline);
-  auto f_c = service.submit(doomed_c, deadline);
+  auto f_a = service.submit(doomed_a, {.deadline = deadline});
+  auto f_b = service.submit(doomed_b, {.deadline = deadline});
+  auto f_c = service.submit(doomed_c, {.deadline = deadline});
   manual->advance(milliseconds(20));
 
   // The overflow submit is *admitted*, not rejected: the enqueue-side
@@ -415,17 +416,20 @@ TEST(ServeQos, PerClassCountersReconcileExactly) {
   auto pinned = service.submit(gated);
   gated.wait_until_entered();
   using std::chrono::milliseconds;
+  const SubmitOptions batch{.priority = PriorityClass::kBatch};
   auto f_i1 = service.submit(normal);
-  auto f_b1 = service.submit(normal, PriorityClass::kBatch);
-  auto f_i2 = service.submit(doomed_i, manual->now() + milliseconds(10));
-  auto f_b2 = service.submit(doomed_b, PriorityClass::kBatch,
-                             manual->now() + milliseconds(10));
+  auto f_b1 = service.submit(normal, batch);
+  auto f_i2 = service.submit(
+      doomed_i, {.deadline = manual->now() + milliseconds(10)});
+  auto f_b2 = service.submit(
+      doomed_b, {.priority = PriorityClass::kBatch,
+                 .deadline = manual->now() + milliseconds(10)});
   manual->advance(milliseconds(20));
 
   // Both doomed jobs expire in the enqueue sweep; their two freed slots
   // admit one more job per class.
   auto f_i3 = service.submit(normal);
-  auto f_b3 = service.submit(normal, PriorityClass::kBatch);
+  auto f_b3 = service.submit(normal, batch);
   expect_admission_error(f_i2, AdmissionError::Kind::kDeadlineExceeded);
   expect_admission_error(f_b2, AdmissionError::Kind::kDeadlineExceeded);
   EXPECT_EQ(doomed_i.calls(), 0u);
@@ -433,8 +437,7 @@ TEST(ServeQos, PerClassCountersReconcileExactly) {
 
   // The queue is full of live jobs again: one rejection per class.
   EXPECT_THROW((void)service.submit(normal), AdmissionError);
-  EXPECT_THROW((void)service.submit(normal, PriorityClass::kBatch),
-               AdmissionError);
+  EXPECT_THROW((void)service.submit(normal, batch), AdmissionError);
 
   gated.gate()->open_gate();
   EXPECT_EQ(pinned.get().cost, dp::solve_sequential(gated.inner()).cost);

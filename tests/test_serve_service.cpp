@@ -1,9 +1,10 @@
 // Tests of the concurrent serving front door: SolverService bit-identity
 // against independent solves across worker counts and submission orders,
-// async submission futures, the solve_all ledger contract, LRU plan
-// eviction under load, per-call option keying, and a multi-threaded
-// stress run (the tsan preset's main subject) hammering one service with
-// mixed shapes from many caller threads.
+// async submission futures, the solve_all ledger contract (the `Batch.*`
+// tests run it on a one-worker service: grouping by shape, input order,
+// aggregation), LRU plan eviction under load, per-call option keying, and
+// a multi-threaded stress run (the tsan preset's main subject) hammering
+// one service with mixed shapes from many caller threads.
 
 #include <gtest/gtest.h>
 
@@ -15,13 +16,13 @@
 #include <thread>
 #include <vector>
 
-#include "core/batch_solver.hpp"
 #include "core/sublinear_solver.hpp"
 #include "dp/matrix_chain.hpp"
 #include "dp/optimal_bst.hpp"
 #include "dp/sequential.hpp"
 #include "serve/solver_service.hpp"
 #include "support/rng.hpp"
+#include "support/stats.hpp"
 
 namespace subdp::serve {
 namespace {
@@ -110,11 +111,32 @@ TEST(Service, SubmitFuturesMatchIndependentSolvesShuffled) {
   EXPECT_EQ(stats.plan_cache.misses, 3u);
 }
 
-TEST(Service, MatchesBatchSolverLedgerAndResults) {
+/// A one-worker service: instances stream one at a time, and each solve
+/// keeps the configured machine backend.
+ServiceOptions one_worker(const core::SublinearOptions& solver = {}) {
+  ServiceOptions options;
+  options.solver = solver;
+  options.workers = 1;
+  return options;
+}
+
+std::vector<dp::MatrixChainProblem> random_chains(std::size_t count,
+                                                  std::size_t n,
+                                                  std::uint64_t seed) {
+  support::Rng rng(seed);
+  std::vector<dp::MatrixChainProblem> out;
+  out.reserve(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    out.push_back(dp::MatrixChainProblem::random(n, rng));
+  }
+  return out;
+}
+
+TEST(Service, OneWorkerMatchesMultiWorkerLedgerAndResults) {
   const auto load = make_workload({10, 15}, 3, 604);
   core::SublinearOptions counted;
   counted.engine = core::EngineKind::kReference;
-  core::BatchSolver batch(counted);
+  SolverService batch(one_worker(counted));
   const auto batch_out = batch.solve_all(load.pointers);
 
   ServiceOptions options;
@@ -267,7 +289,7 @@ TEST(Service, PerCallOptionsKeyTheCacheSeparately) {
   core::SublinearOptions dense;
   dense.variant = core::PwVariant::kDense;
   const auto banded_result = service.submit(problem).get();
-  const auto dense_result = service.submit(problem, dense).get();
+  const auto dense_result = service.submit(problem, {.solver = dense}).get();
   EXPECT_EQ(banded_result.cost, dense_result.cost);
   EXPECT_EQ(banded_result.cost, dp::solve_sequential(problem).cost);
 
@@ -288,7 +310,7 @@ TEST(Service, SubmitSurfacesPlanValidationThroughTheFuture) {
       core::DensePwTable::kMaxDenseN + 1, rng);
   core::SublinearOptions dense;
   dense.variant = core::PwVariant::kDense;  // too large for dense
-  auto future = service.submit(problem, dense);
+  auto future = service.submit(problem, {.solver = dense});
   EXPECT_THROW((void)future.get(), std::invalid_argument);
   // The service stays healthy after a failed job.
   const auto small = dp::MatrixChainProblem::random(10, rng);
@@ -316,6 +338,176 @@ TEST(Service, OptimalBstInstancesServeConcurrently) {
     EXPECT_EQ(out.results[k].cost, dp::solve_sequential(*pointers[k]).cost)
         << "instance " << k;
   }
+}
+
+TEST(Batch, BitIdenticalToIndependentSolves) {
+  // The acceptance bar: >= 8 same-n instances through solve_all must be
+  // bit-identical (cost, iterations, full w table) to independent
+  // core::solve calls.
+  const std::size_t n = 32;
+  const auto problems = random_chains(8, n, 507);
+  std::vector<const dp::Problem*> pointers;
+  for (const auto& p : problems) pointers.push_back(&p);
+
+  SolverService batch(one_worker());
+  const auto out = batch.solve_all(pointers);
+  ASSERT_EQ(out.results.size(), problems.size());
+  EXPECT_EQ(out.ledger.instances, problems.size());
+  EXPECT_EQ(out.ledger.shape_groups, 1u);
+  EXPECT_EQ(out.ledger.plans_built, 1u);
+  EXPECT_EQ(out.ledger.plans_reused, 0u);
+  EXPECT_EQ(batch.stats().plan_cache.size, 1u);
+
+  for (std::size_t k = 0; k < problems.size(); ++k) {
+    core::SublinearSolver independent;
+    const auto expected = independent.solve(problems[k]);
+    EXPECT_EQ(out.results[k].cost, expected.cost) << "instance " << k;
+    EXPECT_TRUE(out.results[k].w == expected.w) << "instance " << k;
+    EXPECT_EQ(out.results[k].iterations, expected.iterations)
+        << "instance " << k;
+    EXPECT_EQ(out.results[k].cost,
+              dp::solve_sequential(problems[k]).cost);
+  }
+}
+
+TEST(Batch, GroupsMixedShapesAndKeepsInputOrder) {
+  support::Rng rng(508);
+  std::vector<std::unique_ptr<dp::Problem>> owned;
+  // Interleave three shapes so grouping has to reorder internally while
+  // results stay in input order.
+  for (int rep = 0; rep < 3; ++rep) {
+    for (const std::size_t n : {10u, 17u, 23u}) {
+      owned.push_back(std::make_unique<dp::MatrixChainProblem>(
+          dp::MatrixChainProblem::random(n, rng)));
+    }
+  }
+  std::vector<const dp::Problem*> pointers;
+  for (const auto& p : owned) pointers.push_back(p.get());
+
+  SolverService batch(one_worker());
+  const auto out = batch.solve_all(pointers);
+  ASSERT_EQ(out.results.size(), owned.size());
+  EXPECT_EQ(out.ledger.shape_groups, 3u);
+  EXPECT_EQ(out.ledger.plans_built, 3u);
+  for (std::size_t k = 0; k < owned.size(); ++k) {
+    EXPECT_EQ(out.results[k].cost, dp::solve_sequential(*owned[k]).cost)
+        << "instance " << k;
+  }
+
+  // A second batch of known shapes is served entirely by warm plans.
+  const auto again = batch.solve_all(pointers);
+  EXPECT_EQ(again.ledger.plans_built, 0u);
+  EXPECT_EQ(again.ledger.plans_reused, 3u);
+  EXPECT_EQ(batch.stats().plan_cache.size, 3u);
+  EXPECT_NE(batch.plan_for(10), nullptr);
+  EXPECT_EQ(batch.plan_for(11), nullptr);
+  for (std::size_t k = 0; k < owned.size(); ++k) {
+    EXPECT_EQ(again.results[k].cost, out.results[k].cost);
+    EXPECT_TRUE(again.results[k].w == out.results[k].w);
+  }
+}
+
+TEST(Batch, AggregatesTheLedger) {
+  const std::size_t n = 12;
+  const auto problems = random_chains(4, n, 509);
+  std::vector<const dp::Problem*> pointers;
+  for (const auto& p : problems) pointers.push_back(&p);
+
+  core::SublinearOptions counted;
+  counted.engine = core::EngineKind::kReference;
+  SolverService batch(one_worker(counted));
+  const auto out = batch.solve_all(pointers);
+
+  std::uint64_t expected_work = 0;
+  std::size_t expected_iterations = 0;
+  for (const auto& p : problems) {
+    core::SublinearSolver solver(counted);
+    const auto r = solver.solve(p);
+    expected_work += solver.machine().costs().total_work();
+    expected_iterations += r.iterations;
+  }
+  EXPECT_EQ(out.ledger.total_work, expected_work);
+  EXPECT_EQ(out.ledger.total_iterations, expected_iterations);
+  EXPECT_GT(out.ledger.total_depth, 0u);
+}
+
+TEST(Batch, HandlesTrivialAndEmptyInputs) {
+  SolverService batch(one_worker());
+  EXPECT_EQ(batch.solve_all({}).results.size(), 0u);
+
+  const dp::MatrixChainProblem one({4, 5});
+  const dp::MatrixChainProblem also_one({7, 9});
+  std::vector<const dp::Problem*> pointers = {&one, &also_one};
+  const auto out = batch.solve_all(pointers);
+  ASSERT_EQ(out.results.size(), 2u);
+  EXPECT_EQ(out.results[0].cost, 0);
+  EXPECT_EQ(out.results[1].cost, 0);
+  EXPECT_EQ(out.ledger.plans_built, 1u);  // one shared n == 1 plan
+
+  const dp::Problem* null_problem = nullptr;
+  std::vector<const dp::Problem*> bad = {&one, null_problem};
+  EXPECT_THROW((void)batch.solve_all(bad), std::invalid_argument);
+}
+
+TEST(Batch, ContractUnchangedUnderTheAdmissionIntakePath) {
+  // The serving layer has admission control (bounded queue, kReject
+  // shedding, per-job deadlines), but grouped batch jobs bypass it by
+  // construction: no deadline is ever armed for them and a full queue
+  // back-pressures the caller instead of rejecting. The solve_all ledger
+  // and bit-identity contract must therefore be byte-for-byte the same
+  // on a default one-worker service and on a service configured to shed
+  // aggressively.
+  const std::size_t n = 21;
+  const auto problems = random_chains(6, n, 511);
+  std::vector<const dp::Problem*> pointers;
+  for (const auto& p : problems) pointers.push_back(&p);
+
+  SolverService batch(one_worker());  // unbounded queue, no deadlines
+  const auto facade = batch.solve_all(pointers);
+
+  ServiceOptions hostile;
+  hostile.workers = 2;
+  hostile.queue_capacity = 1;  // every enqueue collides with capacity
+  hostile.overload_policy = OverloadPolicy::kReject;
+  SolverService service(hostile);
+  const auto shed = service.solve_all(pointers);
+
+  ASSERT_EQ(facade.results.size(), pointers.size());
+  ASSERT_EQ(shed.results.size(), pointers.size());
+  for (std::size_t k = 0; k < pointers.size(); ++k) {
+    core::SublinearSolver independent;
+    const auto expected = independent.solve(problems[k]);
+    EXPECT_EQ(facade.results[k].cost, expected.cost) << "instance " << k;
+    EXPECT_TRUE(facade.results[k].w == expected.w) << "instance " << k;
+    EXPECT_EQ(facade.results[k].iterations, expected.iterations)
+        << "instance " << k;
+    EXPECT_EQ(shed.results[k].cost, expected.cost) << "instance " << k;
+    EXPECT_TRUE(shed.results[k].w == expected.w) << "instance " << k;
+  }
+  EXPECT_EQ(facade.ledger.instances, shed.ledger.instances);
+  EXPECT_EQ(facade.ledger.shape_groups, shed.ledger.shape_groups);
+  EXPECT_EQ(facade.ledger.plans_built, shed.ledger.plans_built);
+  EXPECT_EQ(facade.ledger.total_iterations, shed.ledger.total_iterations);
+
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.jobs_rejected, 0u) << "batch jobs must never be shed";
+  EXPECT_EQ(stats.jobs_expired, 0u) << "batch jobs carry no deadline";
+}
+
+TEST(Batch, RespectsConfiguredOptions) {
+  support::Rng rng(510);
+  const auto p = dp::OptimalBstProblem::random(13, rng);
+  core::SublinearOptions options;
+  options.variant = core::PwVariant::kDense;
+  options.termination = core::TerminationMode::kFixedBound;
+  SolverService batch(one_worker(options));
+  std::vector<const dp::Problem*> pointers = {&p};
+  const auto out = batch.solve_all(pointers);
+  EXPECT_EQ(out.results[0].cost, dp::solve_sequential(p).cost);
+  EXPECT_EQ(out.results[0].iterations,
+            support::two_ceil_sqrt(p.size()));
+  EXPECT_EQ(batch.plan_for(p.size())->options().variant,
+            core::PwVariant::kDense);
 }
 
 }  // namespace

@@ -18,8 +18,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -362,6 +364,41 @@ TEST(SnapshotRejection, KeyFilenameMismatch) {
   EXPECT_EQ(store.stats().rejected, 1u);
   EXPECT_NE(store.load(24, options_a), nullptr);  // A is untouched
   EXPECT_EQ(store.stats().hits, 1u);
+}
+
+TEST(SnapshotFileName, KeysEveryPlanShapingFieldButNotProfile) {
+  // Each plan-shaping field changed from its default in turn must move
+  // the file name; `profile` shapes sessions, not plans, and must not.
+  using Mutation = std::function<void(core::SublinearOptions&)>;
+  const std::vector<std::pair<std::string, Mutation>> plan_shaping = {
+      {"variant", [](auto& o) { o.variant = core::PwVariant::kDense; }},
+      {"square_mode",
+       [](auto& o) { o.square_mode = core::SquareMode::kRytterFull; }},
+      {"termination",
+       [](auto& o) { o.termination = core::TerminationMode::kFixedBound; }},
+      {"band_width", [](auto& o) { o.band_width = 5; }},
+      {"max_iterations", [](auto& o) { o.max_iterations = 7; }},
+      {"windowed_pebble", [](auto& o) { o.windowed_pebble = true; }},
+      {"engine", [](auto& o) { o.engine = core::EngineKind::kReference; }},
+      {"machine.backend",
+       [](auto& o) {
+         o.machine.backend = o.machine.backend == pram::Backend::kSerial
+                                 ? pram::Backend::kThreadPool
+                                 : pram::Backend::kSerial;
+       }},
+      {"machine.check_crew", [](auto& o) { o.machine.check_crew = true; }},
+  };
+  const std::string base = snapshot_file_name(24, {});
+  EXPECT_NE(snapshot_file_name(25, {}), base) << "n";
+  for (const auto& [field, mutate] : plan_shaping) {
+    core::SublinearOptions options;
+    mutate(options);
+    EXPECT_NE(snapshot_file_name(24, options), base) << field;
+  }
+  core::SublinearOptions profiled;
+  profiled.profile = true;
+  EXPECT_EQ(snapshot_file_name(24, profiled), base)
+      << "profile must not split snapshot files";
 }
 
 TEST(SnapshotRejection, DecodeThrowsInsteadOfMisSolving) {
