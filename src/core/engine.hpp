@@ -54,11 +54,13 @@
 ///    storing its entry count — no shared counter is touched per cell or
 ///    per segment, and the log is the one slot-per-index array it always
 ///    was;
-///  * the a-square apply runs over the segments through `run_blocks`;
-///    each segment's entries ascend, so the quads of one root form a run
-///    and the root is marked once per run. The a-pebble log holds at most
-///    one entry per pair and becomes the next frontier in order, so it is
-///    applied serially on the issuing thread;
+///  * the a-square sweep cuts its segments on root-block boundaries, so
+///    every root is computed by one segment. Its apply runs over the
+///    segments through `run_blocks`; each segment's entries ascend, so the
+///    quads of one root form a run and the root is marked once per run.
+///    The a-pebble log holds at most one entry per pair and becomes the
+///    next frontier in order, so it is applied serially on the issuing
+///    thread;
 ///  * root marks read before they write (`mark_root_dirty`): a flag that
 ///    is already set costs a shared load, never a store or an RMW.
 ///
@@ -70,17 +72,17 @@
 ///    pebble moved (falling back to the full sweep when that frontier is
 ///    dense);
 ///  * a-square (HLV mode) runs *root-major*: the entry list is walked as
-///    contiguous per-root blocks, a 2-D containment count over the moved
-///    roots answers "did any pw entry inside `(i,j)` move?" in O(1) and
-///    skips the whole block when not, and surviving quads test their HLV
-///    windows against per-endpoint prefix sums — O(1) per quad instead of
-///    the O(B) per-quad root walk this replaces;
+///    contiguous per-root blocks, and a 2-D containment count over the
+///    moved roots answers "did any pw entry inside `(i,j)` move?" in O(1)
+///    and skips the whole block when not. A block that survives is
+///    computed whole by the root-panel kernel (`square_root_panel`, see
+///    below);
 ///  * a-pebble skips pairs with no root `pw` movement since their last
 ///    rescan and no moved `w` among their gaps; pairs that do rescan
 ///    stream their stored gaps as the layout's arithmetic-progression
 ///    `PwGapRun`s (`pebble_scan_fast`) instead of dereferencing the
 ///    general `get` per gap;
-///  * the mark grids behind both skip tests are maintained
+///  * the containment grids behind both skip tests are maintained
 ///    *incrementally*: each step diffs its moved-mark set against the
 ///    marks standing in the grids and rank-updates only the affected
 ///    rows/columns, falling back to the parallel from-scratch rebuild
@@ -97,16 +99,26 @@
 /// ----------------------------------------
 /// `Table` must model `core::PwStoragePolicy` (pw_layout.hpp): the kernels
 /// below are instantiated once per layout with that layout's addressing
-/// inlined, not dispatched per call. On the fast engine the HLV square scan
-/// (`square_scan_fast`) exploits a structural fact: every candidate
-/// operand of an in-band target is itself in band (first operands share
-/// the target's root with strictly smaller slack; second operands `(r,q,
-/// p,q)` / `(p,s,p,q)` have slack `p-r` / `s-q <= B` by the window
-/// bounds), except the single identity operand `pw(i,j,i,j)`, whose
-/// candidate equals the target's old value and is skipped as a provable
-/// no-op. So the inner loops read through the layout's incremental window
-/// cursors and unchecked `in_band_slot` instead of the general `get`,
-/// eliminating the identity / slack / child-gap branches per read. The
+/// inlined, not dispatched per call. On the fast engine the HLV square
+/// runs one kernel per root, `square_root_panel`. It turns eq. 2c's pull
+/// loops inside out: instead of each target `(p,q)` re-reading its whole
+/// window, the kernel walks the root's first operands once, tests each
+/// for finiteness once, and min-folds every finite one's candidates into
+/// a `(min(B, L-1) + 1)^2` panel of the root's targets (one panel per
+/// host thread, allocated once). Infinite first operands — most of them
+/// in early iterations — now cost one test per root instead of one per
+/// target. It rests on a structural fact: every candidate operand of an
+/// in-band target is itself in band (first operands share the target's
+/// root with strictly smaller slack; second operands `(r,q,p,q)` /
+/// `(p,s,p,q)` have slack `p-r` / `s-q <= B` by the window bounds),
+/// except the single identity operand `pw(i,j,i,j)`, whose candidate
+/// equals the target's old value and is skipped as a provable no-op. So
+/// first operands and the second-operand streams `pw(r,q,r+1..,q)` /
+/// `pw(p,s,p,..s-1)` are read through the layout's incremental window
+/// cursors instead of the general `get`, with no identity / slack /
+/// child-gap branch per read. The candidate set and the min-fold are
+/// those of the reference `square_scan`, and the folded values are equal
+/// (see `square_root_panel`), so the result is bit-identical. The
 /// a-pebble gap scan gets the same treatment through `for_each_gap_run`:
 /// the layout emits every stored gap of a root as arithmetic-progression
 /// runs over raw `pw` slots paired with strided `w` slots (`PwGapRun`),
@@ -366,6 +378,10 @@ class Engine final : public IEngine {
           threads > 1 ? std::size_t{kSegmentsPerThread} * threads : 1;
       pw_log_.allocate(pw_.entries().size(), segments);
       w_log_.allocate(pairs_.size(), segments);
+      if (n_ >= 2) {
+        const std::size_t side = std::min(pw_.max_slack(), n_ - 1) + 1;
+        panel_cells_ = side * side;
+      }
     } else {
       pw_next_.emplace(shape_->layout);
     }
@@ -382,8 +398,6 @@ class Engine final : public IEngine {
       contained_.assign(grid, 0);
       root_mark_grid_.assign(grid, 0);
       root_contained_.assign(grid, 0);
-      mark_left_pre_.assign(grid, 0);
-      mark_right_pre_.assign(grid, 0);
       frontier_.reserve(n_);
       moved_roots_.resize(pairs_.size());
     }
@@ -467,7 +481,7 @@ class Engine final : public IEngine {
   static constexpr unsigned kSegmentsPerThread = 8;
 
   /// A step's write log, cut into segments. A sweep over indices
-  /// `[0, items)` gives segment `s` the indices `[begin(s), begin(s+1))`
+  /// `[0, items)` gives segment `s` the indices `[bounds[s], bounds[s+1])`
   /// and the same slots of `entries`: the segment fills them from the
   /// front and stores how many it wrote in `counts[s]`. Each segment is
   /// one logical processor's private range, so logging takes no shared
@@ -475,18 +489,24 @@ class Engine final : public IEngine {
   struct WriteLog {
     std::vector<Delta> entries;
     std::vector<std::uint32_t> counts;  ///< Capacity = most segments.
-    std::size_t items = 0;              ///< Indices of the last sweep.
+    std::vector<std::size_t> bounds;    ///< `segments + 1` cut points.
     std::size_t segments = 0;           ///< Segments of the last sweep.
 
     void allocate(std::size_t max_items, std::size_t max_segments) {
       entries.resize(max_items);
       counts.resize(max_segments);
+      bounds.resize(max_segments + 1);
     }
-    [[nodiscard]] std::size_t begin(std::size_t s) const {
-      return items * s / segments;
+    /// Cuts `[0, items)` into equal segments, at most one per count slot.
+    void cut(std::size_t items) {
+      segments = std::min(items, counts.size());
+      for (std::size_t s = 0; s < segments; ++s) {
+        bounds[s] = items * s / segments;
+      }
+      bounds[segments] = items;
     }
     [[nodiscard]] const Delta* head(std::size_t s) const {
-      return entries.data() + begin(s);
+      return entries.data() + bounds[s];
     }
     [[nodiscard]] std::size_t size() const {
       std::size_t total = 0;
@@ -502,20 +522,6 @@ class Engine final : public IEngine {
     std::uint32_t b = 0;
     std::int32_t add = 1;
   };
-
-  /// The HLV square window of quad `t`: admissible intermediates
-  /// `r in [r_lo, p)` and `s in (q, s_hi]`. Shared by the candidate scan
-  /// and the frontier skip test, which must agree on the operand set.
-  struct HlvWindow {
-    std::size_t r_lo = 0;
-    std::size_t s_hi = 0;
-  };
-  [[nodiscard]] HlvWindow hlv_window(const Quad& t) const {
-    const std::size_t maxs = pw_.max_slack();
-    const std::size_t i = t.i, j = t.j, p = t.p, q = t.q;
-    return {p > maxs && p - maxs > i ? p - maxs : i,
-            q + maxs < j ? q + maxs : j};
-  }
 
   /// Per-instance (re)initialisation shared by the constructor and
   /// `reset`: base-row costs, iteration counter, and frontier marks.
@@ -640,15 +646,17 @@ class Engine final : public IEngine {
       // HLV eq. (2c): intermediate shares the gap's row or column.
       // Out-of-band operands are infinite, so r (resp. s) may be
       // restricted to the B-window without changing the result.
-      const HlvWindow win = hlv_window(t);
-      for (std::size_t r = win.r_lo; r < p; ++r) {
+      const std::size_t band = pw_.max_slack();
+      const std::size_t r_lo = p > band && p - band > i ? p - band : i;
+      const std::size_t s_hi = q + band < j ? q + band : j;
+      for (std::size_t r = r_lo; r < p; ++r) {
         if constexpr (Instr) ++ops;
         const Cost a = pw_.get(i, j, r, q);
         if (!is_finite(a)) continue;
         const Cost b = pw_.get(r, q, p, q);
         best = sat_min(best, sat_add(a, b));
       }
-      for (std::size_t s = q + 1; s <= win.s_hi; ++s) {
+      for (std::size_t s = q + 1; s <= s_hi; ++s) {
         if constexpr (Instr) ++ops;
         const Cost a = pw_.get(i, j, p, s);
         if (!is_finite(a)) continue;
@@ -659,44 +667,105 @@ class Engine final : public IEngine {
     return best;
   }
 
-  /// Fast-engine HLV candidate scan: same candidate set, arithmetic and
-  /// min-fold as `square_scan`, but every operand is read through the
-  /// layout's incremental window cursors and unchecked `in_band_slot`
-  /// instead of the general `get` (see the file comment for why all
-  /// operands are provably in band). The lone identity operand — `r == i`
-  /// with `q == j`, or `s == j` with `p == i` — pairs `pw(i,j,i,j) = 0`
-  /// with the target's own old value and can never improve it, so it is
-  /// skipped rather than branch-tested on every read.
-  Cost square_scan_fast(const Quad& t, Cost old_value) const {
-    const std::size_t i = t.i, j = t.j, p = t.p, q = t.q;
-    Cost best = old_value;
-    const HlvWindow win = hlv_window(t);
+  /// Fast-engine HLV a-square of one whole root `(i,j)` — the entry-list
+  /// block `rb` — with the same candidate set and min-fold as
+  /// `square_scan` over each of its targets, but in root-panel order: the
+  /// loops run over the root's *first operands*, each read and tested for
+  /// finiteness once, and every finite one min-folds its candidates into
+  /// all the targets it serves. `panel` holds one cell per target `(p,q)`
+  /// at `(p-i) * (m+1) + (j-q)`, where `m = min(B, L-1)` is the root's
+  /// largest target slack (`L = j-i`):
+  ///  * r-side: first operand `pw(i,j,r,q)` serves every target `(p,q)`
+  ///    with `p > r`; their second operands `pw(r,q,p,q)` stream along
+  ///    `r_window_cursor(r, q, r+1, q)`;
+  ///  * s-side: first operand `pw(i,j,p,s)` serves every target `(p,q)`
+  ///    with `q < s`; their second operands `pw(p,s,p,q)` stream along
+  ///    `s_window_cursor(p, s, p, q_lo)`.
+  /// The HLV window bound `B` never cuts these ranges short: a first
+  /// operand has slack >= 1 and a target slack <= m <= B, so `p - r` and
+  /// `s - q` stay below `B`. Every operand is stored in band (see the
+  /// file comment), so reads go through the layout's cursors with no
+  /// per-read addressing branch. The identity operand `pw(i,j,i,j)`
+  /// (`r == i` with `q == j`, `s == j` with `p == i`) pairs 0 with the
+  /// target's own value, can never improve it, and is not visited.
+  /// A candidate is the plain sum `a + b`: `a` is finite and `b <=
+  /// kInfinity = INT64_MAX / 4`, so the sum cannot overflow, and a sum at
+  /// or past `kInfinity` — where `sat_add` would clamp — loses the min to
+  /// the panel cell, which starts at `kInfinity`; the folded values are
+  /// therefore exactly `square_scan`'s. Finally each target's panel cell
+  /// is compared with its old value and logged at `*out++` if lower, in
+  /// entry order.
+  Delta* square_root_panel(const RootBlock& rb, Cost* panel,
+                           Delta* out) const {
+    const Pair root = pairs_[rb.pair];
+    const std::size_t i = root.i, j = root.j;
+    const std::size_t m = std::min(pw_.max_slack(), j - i - 1);
+    const std::size_t stride = m + 1;
+    std::fill(panel, panel + stride * stride, kInfinity);
+    // r-side, one column `c = j-q` at a time, whose targets end at row
+    // `last`; first operands ascend in `r`, so a cursor streams them too.
+    for (std::size_t c = 0; c < m; ++c) {
+      const std::size_t q = j - c;
+      const std::size_t last = m - c;
+      const std::size_t ar_lo = c == 0 ? 1 : 0;  // skip the identity operand
+      if (ar_lo >= last) continue;
+      PwWindowCursor first = pw_.r_window_cursor(i, j, i + ar_lo, q);
+      for (std::size_t ar = ar_lo; ar < last; ++ar) {
+        const Cost a = first.value();
+        first.advance();
+        if (!is_finite(a)) continue;
+        const std::size_t r = i + ar;
+        PwWindowCursor second = pw_.r_window_cursor(r, q, r + 1, q);
+        Cost* cell = panel + (ar + 1) * stride + c;
+        for (std::size_t ap = ar + 1; ap <= last; ++ap) {
+          *cell = std::min(*cell, a + second.value());
+          second.advance();
+          cell += stride;
+        }
+      }
+    }
+    // s-side, one row `ap = p-i` at a time, whose targets end at column
+    // `last`; first operands ascend in `s` (their column `cs = j-s`
+    // descends).
+    for (std::size_t ap = 0; ap < m; ++ap) {
+      const std::size_t p = i + ap;
+      const std::size_t last = m - ap;
+      const std::size_t cs_lo = ap == 0 ? 1 : 0;  // skip the identity operand
+      if (cs_lo >= last) continue;
+      PwWindowCursor first = pw_.s_window_cursor(i, j, p, j - (last - 1));
+      for (std::size_t cs = last; cs-- > cs_lo;) {
+        const Cost a = first.value();
+        first.advance();
+        if (!is_finite(a)) continue;
+        const std::size_t s = j - cs;
+        PwWindowCursor second = pw_.s_window_cursor(p, s, p, j - last);
+        Cost* cell = panel + ap * stride + last;
+        for (std::size_t c = last; c > cs; --c) {
+          *cell = std::min(*cell, a + second.value());
+          second.advance();
+          --cell;
+        }
+      }
+    }
     const Cost* raw = pw_.raw_cells();
-    std::size_t r = win.r_lo;
-    if (r == i && q == j) ++r;  // identity operand: provable no-op
-    if (r < p) {
-      PwWindowCursor cur = pw_.r_window_cursor(i, j, r, q);
-      for (; r < p; ++r) {
-        const Cost a = cur.value();
-        cur.advance();
-        if (!is_finite(a)) continue;
-        const Cost b = raw[pw_.in_band_slot(r, q, p, q)];
-        best = sat_min(best, sat_add(a, b));
+    const auto& quads = pw_.entries();
+    for (std::size_t idx = rb.begin; idx < rb.end; ++idx) {
+      const Quad t = quads[idx];
+      const Cost best = panel[(t.p - i) * stride + (j - t.q)];
+      if (best < raw[entry_slots_[idx]]) {
+        *out++ = Delta{static_cast<std::uint32_t>(idx), best};
       }
     }
-    std::size_t s_hi = win.s_hi;
-    if (p == i && s_hi == j) --s_hi;  // identity operand: provable no-op
-    if (q < s_hi) {
-      PwWindowCursor cur = pw_.s_window_cursor(i, j, p, q + 1);
-      for (std::size_t s = q + 1; s <= s_hi; ++s) {
-        const Cost a = cur.value();
-        cur.advance();
-        if (!is_finite(a)) continue;
-        const Cost b = raw[pw_.in_band_slot(p, s, p, q)];
-        best = sat_min(best, sat_add(a, b));
-      }
-    }
-    return best;
+    return out;
+  }
+
+  /// This thread's root-panel scratch, grown to the engine's largest
+  /// panel (`(min(B, n-1) + 1)^2` cells) on first use and then reused by
+  /// every root the thread computes, in every step.
+  [[nodiscard]] Cost* square_panel() const {
+    thread_local std::vector<Cost> panel;
+    if (panel.size() < panel_cells_) panel.resize(panel_cells_);
+    return panel.data();
   }
 
   /// Reference a-pebble gap scan for one pair; returns the best pebbled
@@ -765,21 +834,19 @@ class Engine final : public IEngine {
     }
   }
 
-  /// Runs one logged sweep over indices `[0, items)`, one logical
-  /// processor per log segment: `scan(lo, hi, out)` scans `[lo, hi)`,
+  /// Runs one logged sweep over the segments `log` was last cut into, one
+  /// logical processor per segment: `scan(lo, hi, out)` scans `[lo, hi)`,
   /// stores each improvement at `*out++` and returns the advanced `out`.
   template <class Scan>
-  void run_logged(WriteLog& log, std::size_t items, Scan&& scan) {
-    log.items = items;
-    log.segments = std::min(items, log.counts.size());
+  void run_logged(WriteLog& log, Scan&& scan) {
     machine_.run_blocks(
         static_cast<std::int64_t>(log.segments),
         [&](std::int64_t s_lo, std::int64_t s_hi) {
           for (auto s = static_cast<std::size_t>(s_lo);
                s < static_cast<std::size_t>(s_hi); ++s) {
-            Delta* const head = log.entries.data() + log.begin(s);
+            Delta* const head = log.entries.data() + log.bounds[s];
             const Delta* const tail =
-                scan(log.begin(s), log.begin(s + 1), head);
+                scan(log.bounds[s], log.bounds[s + 1], head);
             log.counts[s] = static_cast<std::uint32_t>(tail - head);
           }
         });
@@ -845,42 +912,35 @@ class Engine final : public IEngine {
   // few marks changed between steps, it is cheaper to diff the new mark
   // set against the marks standing in the grids and rank-update only the
   // cells a changed mark contributes to: mark `(a, b)` sits on grid cell
-  // `(a, b)`, counts toward the containment rectangle rows `0..a` from
-  // column `b` on, and (square grids) toward the two per-endpoint prefix
-  // row suffixes. Both forms compute the same integer sums over the same
+  // `(a, b)` and counts toward the containment rectangle rows `0..a` from
+  // column `b` on. Both forms compute the same integer sums over the same
   // mark set, so the counts are bit-identical; `update_*` picks the
   // cheaper form via a touched-cell estimate and debug builds assert the
   // incremental result against the rebuild.
 
   /// True when applying `deltas` incrementally would touch at least a
   /// full grid's worth of cells — the from-scratch rebuild is no slower
-  /// then. `with_prefix_rows` adds the square grids' two per-mark prefix
-  /// row suffixes to the estimate.
-  [[nodiscard]] bool delta_is_dense(const std::vector<MarkDelta>& deltas,
-                                    bool with_prefix_rows) const {
+  /// then.
+  [[nodiscard]] bool delta_is_dense(
+      const std::vector<MarkDelta>& deltas) const {
     const std::uint64_t stride = n_ + 1;
     const std::uint64_t full = stride * stride;
     // Every row worker scans the whole delta list once.
     std::uint64_t touched = stride * deltas.size();
     for (const MarkDelta d : deltas) {
       touched += static_cast<std::uint64_t>(d.a + 1) * (stride - d.b);
-      if (with_prefix_rows) touched += (stride - d.b) + (stride - d.a);
       if (touched >= full) return true;
     }
     return touched >= full;
   }
 
-  /// One parallel pass applying a mark-set delta to a mark grid, its
-  /// containment counts and (square grids; null for the pebble's)
-  /// the per-endpoint prefix grids. Ownership is by row index, so every
-  /// cell keeps one writer whatever the backend: mark `(a,b)` updates
-  /// `marks` and `right_pre` on row `a`, `left_pre` on row `b`, and the
-  /// containment rectangle rows `0..a` from column `b` on.
+  /// One parallel pass applying a mark-set delta to a mark grid and its
+  /// containment counts. Ownership is by row index, so every cell keeps
+  /// one writer whatever the backend: mark `(a,b)` updates `marks` on row
+  /// `a` and the containment rectangle rows `0..a` from column `b` on.
   void apply_mark_delta(const std::vector<MarkDelta>& deltas,
                         std::vector<std::uint8_t>& marks,
-                        std::vector<std::uint32_t>& counts,
-                        std::vector<std::uint32_t>* left_pre,
-                        std::vector<std::uint32_t>* right_pre) {
+                        std::vector<std::uint32_t>& counts) {
     if (deltas.empty()) return;
     const std::size_t stride = n_ + 1;
     machine_.run_blocks(
@@ -895,14 +955,6 @@ class Engine final : public IEngine {
             const std::uint32_t add = static_cast<std::uint32_t>(d.add);
             if (a >= lo && a < hi) {
               marks[a * stride + b] = static_cast<std::uint8_t>(d.add > 0);
-              if (right_pre != nullptr) {
-                std::uint32_t* row = right_pre->data() + a * stride;
-                for (std::size_t s = b; s <= n_; ++s) row[s] += add;
-              }
-            }
-            if (left_pre != nullptr && b >= lo && b < hi) {
-              std::uint32_t* row = left_pre->data() + b * stride;
-              for (std::size_t r = a; r <= n_; ++r) row[r] += add;
             }
             const std::size_t row_hi = a + 1 < hi ? a + 1 : hi;
             for (std::size_t r = lo; r < row_hi; ++r) {
@@ -924,16 +976,12 @@ class Engine final : public IEngine {
     SUBDP_ASSERT(counts == contained_);
   }
 
-  void verify_square_prefixes() {
+  void verify_root_contained_counts() {
     const std::vector<std::uint8_t> marks = root_mark_grid_;
     const std::vector<std::uint32_t> counts = root_contained_;
-    const std::vector<std::uint32_t> left = mark_left_pre_;
-    const std::vector<std::uint32_t> right = mark_right_pre_;
-    build_square_prefixes();
+    build_root_contained_counts();
     SUBDP_ASSERT(marks == root_mark_grid_);
     SUBDP_ASSERT(counts == root_contained_);
-    SUBDP_ASSERT(left == mark_left_pre_);
-    SUBDP_ASSERT(right == mark_right_pre_);
   }
 #endif
 
@@ -970,14 +1018,14 @@ class Engine final : public IEngine {
         mark_delta_.push_back(MarkDelta{m.i, m.j, -1});
       }
     }
-    if (delta_is_dense(mark_delta_, /*with_prefix_rows=*/false)) {
+    if (delta_is_dense(mark_delta_)) {
       if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
       build_contained_counts();  // clears the transient flags with the rest
       pebble_marks_.assign(frontier_.begin(), frontier_.end());
       return;
     }
     if (prof_ != nullptr) ++prof_->mark_updates_incremental;
-    apply_mark_delta(mark_delta_, w_moved_, contained_, nullptr, nullptr);
+    apply_mark_delta(mark_delta_, w_moved_, contained_);
     pebble_marks_.assign(frontier_.begin(), frontier_.end());
 #ifndef NDEBUG
     verify_contained_counts();
@@ -985,13 +1033,10 @@ class Engine final : public IEngine {
   }
 
   /// Snapshots `pw_root_moved_` into grid form for the root-major square
-  /// sweep: containment counts (`root_contained_`, the whole-block skip
-  /// test) and per-endpoint prefix sums (`mark_left_pre_(q,r)` = #moved
-  /// roots `(a,q)` with `a <= r`; `mark_right_pre_(p,s)` = #moved roots
-  /// `(p,b)` with `b <= s`) for the O(1) per-quad window tests. Every
-  /// stage runs parallel over its independent unit — mark cells, then
-  /// rows/columns of the three prefix grids.
-  void build_square_prefixes() {
+  /// sweep: `root_contained_(i,j)` = #moved roots inside `(i,j)`, the
+  /// whole-block skip test. Both stages run parallel over their
+  /// independent unit — mark cells, then rows/columns of the counts.
+  void build_root_contained_counts() {
     const std::size_t stride = n_ + 1;
     clear_grid(root_mark_grid_);
     machine_.run_blocks(
@@ -1006,30 +1051,6 @@ class Engine final : public IEngine {
           }
         });
     accumulate_containment(root_mark_grid_, root_contained_);
-    machine_.run_blocks(static_cast<std::int64_t>(n_ + 1),
-                        [&](std::int64_t lo, std::int64_t hi) {
-                          for (std::int64_t qq = lo; qq < hi; ++qq) {
-                            const std::size_t q =
-                                static_cast<std::size_t>(qq);
-                            std::uint32_t run = 0;
-                            for (std::size_t r = 0; r <= n_; ++r) {
-                              run += root_mark_grid_[r * stride + q];
-                              mark_left_pre_[q * stride + r] = run;
-                            }
-                          }
-                        });
-    machine_.run_blocks(static_cast<std::int64_t>(n_ + 1),
-                        [&](std::int64_t lo, std::int64_t hi) {
-                          for (std::int64_t pp = lo; pp < hi; ++pp) {
-                            const std::size_t p =
-                                static_cast<std::size_t>(pp);
-                            std::uint32_t run = 0;
-                            for (std::size_t s = 0; s <= n_; ++s) {
-                              run += root_mark_grid_[p * stride + s];
-                              mark_right_pre_[p * stride + s] = run;
-                            }
-                          }
-                        });
   }
 
   /// Records the mark set now standing in the square grids: exactly the
@@ -1049,10 +1070,10 @@ class Engine final : public IEngine {
   /// needed here: `root_mark_grid_` answers membership for additions and
   /// `pw_root_moved_` (still set — the square apply clears it later) for
   /// removals.
-  void update_square_prefixes() {
+  void update_root_contained_counts() {
     if (!square_grids_valid_) {
       if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
-      build_square_prefixes();
+      build_root_contained_counts();
       capture_square_marks();
       return;
     }
@@ -1072,18 +1093,17 @@ class Engine final : public IEngine {
         mark_delta_.push_back(MarkDelta{m.i, m.j, -1});
       }
     }
-    if (delta_is_dense(mark_delta_, /*with_prefix_rows=*/true)) {
+    if (delta_is_dense(mark_delta_)) {
       if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
-      build_square_prefixes();
+      build_root_contained_counts();
       capture_square_marks();
       return;
     }
     if (prof_ != nullptr) ++prof_->mark_updates_incremental;
-    apply_mark_delta(mark_delta_, root_mark_grid_, root_contained_,
-                     &mark_left_pre_, &mark_right_pre_);
+    apply_mark_delta(mark_delta_, root_mark_grid_, root_contained_);
     capture_square_marks();
 #ifndef NDEBUG
-    verify_square_prefixes();
+    verify_root_contained_counts();
 #endif
   }
 
@@ -1092,29 +1112,6 @@ class Engine final : public IEngine {
   /// false answer proves the whole block clean.
   [[nodiscard]] bool root_block_moved(const Pair root) const {
     return root_contained_[root.i * (n_ + 1) + root.j] != 0;
-  }
-
-  /// O(1) window test replacing the O(B) per-quad root walk: true iff a
-  /// second-operand root `(r,q)` with `r` in `[r_lo, p)` or `(p,s)` with
-  /// `s` in `(q, s_hi]` moved — exactly the set the scan would read. The
-  /// quad's own root is tested separately (hoisted per block).
-  [[nodiscard]] bool square_window_moved(const Quad& t) const {
-    const std::size_t stride = n_ + 1;
-    const std::size_t p = t.p, q = t.q;
-    const HlvWindow win = hlv_window(t);
-    if (win.r_lo < p) {
-      const std::uint32_t hi = mark_left_pre_[q * stride + (p - 1)];
-      const std::uint32_t lo =
-          win.r_lo == 0 ? 0 : mark_left_pre_[q * stride + (win.r_lo - 1)];
-      if (hi != lo) return true;
-    }
-    if (win.s_hi > q) {
-      if (mark_right_pre_[p * stride + win.s_hi] !=
-          mark_right_pre_[p * stride + q]) {
-        return true;
-      }
-    }
-    return false;
   }
 
   /// Index of the first root block whose entry range contains `entry_idx`
@@ -1256,83 +1253,73 @@ class Engine final : public IEngine {
     }
 
     // Fast engine: reads see pre-step state because all writes are
-    // deferred to the post-barrier apply below. HLV scans run the
-    // unchecked in-band kernel, and — once operand-movement marks exist
-    // (every square after the first) — the sweep is root-major: whole
-    // root blocks are skipped via the containment test, surviving quads
-    // via the O(1) window test.
+    // deferred to the post-barrier apply below. HLV runs the root-panel
+    // kernel one root block at a time, and — once operand-movement marks
+    // exist (every square after the first) — skips the blocks the
+    // containment test proves clean.
     const bool hlv = options_.square_mode == SquareMode::kHlvOneLevel;
     const bool skip_clean = frontier_enabled_ && square_frontier_ready_ && hlv;
-    if (skip_clean) update_square_prefixes();
-    const Cost* raw_read = pw_.raw_cells();
+    if (skip_clean) update_root_contained_counts();
     const bool prof = prof_ != nullptr;
     if (prof) {
       prof_->square_quads_total += quads.size();
       lap(&StepProfile::mark_update_ns);
     }
-    run_logged(
-        pw_log_, quads.size(),
-        [&](std::size_t lo, std::size_t hi, Delta* out) {
-          std::uint64_t ops = 0;
-          const auto scan_one = [&](const Quad& t, std::size_t idx) {
-            const Cost old_value = raw_read[entry_slots_[idx]];
-            const Cost best = hlv ? square_scan_fast(t, old_value)
-                                  : square_scan<false>(t, old_value, ops);
-            if (best < old_value) {
-              *out++ = Delta{static_cast<std::uint32_t>(idx), best};
-            }
-          };
-          if (!skip_clean) {
-            for (std::size_t idx = lo; idx < hi; ++idx) {
-              scan_one(quads[idx], idx);
-            }
-            if (prof) {
-              prof_quads_scanned_.fetch_add(hi - lo, std::memory_order_relaxed);
-            }
-            return out;
+    pw_log_.cut(quads.size());
+    if (hlv) {
+      // Move every cut down to the start of the root block it falls in,
+      // so each root's panel is computed by exactly one segment.
+      for (std::size_t s = 1; s < pw_log_.segments; ++s) {
+        pw_log_.bounds[s] = root_blocks_[block_at(pw_log_.bounds[s])].begin;
+      }
+    }
+    run_logged(pw_log_, [&](std::size_t lo, std::size_t hi, Delta* out) {
+      if (!hlv) {
+        const Cost* raw_read = pw_.raw_cells();
+        std::uint64_t ops = 0;
+        for (std::size_t idx = lo; idx < hi; ++idx) {
+          const Cost old_value = raw_read[entry_slots_[idx]];
+          const Cost best = square_scan<false>(quads[idx], old_value, ops);
+          if (best < old_value) {
+            *out++ = Delta{static_cast<std::uint32_t>(idx), best};
           }
-          std::uint64_t blocks_scanned = 0, blocks_skipped = 0;
-          std::uint64_t quads_scanned = 0, quads_skipped = 0;
-          std::uint64_t quads_block_skipped = 0;
-          for (std::size_t bi = block_at(lo); bi < root_blocks_.size(); ++bi) {
-            const RootBlock& rb = root_blocks_[bi];
-            if (rb.begin >= hi) break;
-            const std::size_t b = rb.begin < lo ? lo : rb.begin;
-            const std::size_t e = rb.end < hi ? rb.end : hi;
-            if (!root_block_moved(pairs_[rb.pair])) {
-              if (prof) {
-                ++blocks_skipped;
-                quads_block_skipped += e > b ? e - b : 0;
-              }
-              continue;
-            }
-            if (prof) ++blocks_scanned;
-            const bool root_moved =
-                pw_root_moved_[rb.pair].load(std::memory_order_relaxed) != 0;
-            for (std::size_t idx = b; idx < e; ++idx) {
-              const Quad t = quads[idx];
-              if (!root_moved && !square_window_moved(t)) {
-                if (prof) ++quads_skipped;
-                continue;
-              }
-              if (prof) ++quads_scanned;
-              scan_one(t, idx);
-            }
-          }
+        }
+        if (prof) {
+          prof_quads_scanned_.fetch_add(hi - lo, std::memory_order_relaxed);
+        }
+        return out;
+      }
+      Cost* const panel = square_panel();
+      std::uint64_t blocks_scanned = 0, blocks_skipped = 0;
+      std::uint64_t quads_scanned = 0, quads_block_skipped = 0;
+      for (std::size_t bi = block_at(lo);
+           bi < root_blocks_.size() && root_blocks_[bi].begin < hi; ++bi) {
+        const RootBlock& rb = root_blocks_[bi];
+        if (skip_clean && !root_block_moved(pairs_[rb.pair])) {
           if (prof) {
-            prof_blocks_scanned_.fetch_add(blocks_scanned,
-                                           std::memory_order_relaxed);
-            prof_blocks_skipped_.fetch_add(blocks_skipped,
-                                           std::memory_order_relaxed);
-            prof_quads_scanned_.fetch_add(quads_scanned,
-                                          std::memory_order_relaxed);
-            prof_quads_skipped_.fetch_add(quads_skipped,
-                                          std::memory_order_relaxed);
-            prof_quads_block_skipped_.fetch_add(quads_block_skipped,
-                                                std::memory_order_relaxed);
+            ++blocks_skipped;
+            quads_block_skipped += rb.end - rb.begin;
           }
-          return out;
-        });
+          continue;
+        }
+        if (prof) {
+          blocks_scanned += skip_clean ? 1 : 0;
+          quads_scanned += rb.end - rb.begin;
+        }
+        out = square_root_panel(rb, panel, out);
+      }
+      if (prof) {
+        prof_blocks_scanned_.fetch_add(blocks_scanned,
+                                       std::memory_order_relaxed);
+        prof_blocks_skipped_.fetch_add(blocks_skipped,
+                                       std::memory_order_relaxed);
+        prof_quads_scanned_.fetch_add(quads_scanned,
+                                      std::memory_order_relaxed);
+        prof_quads_block_skipped_.fetch_add(quads_block_skipped,
+                                            std::memory_order_relaxed);
+      }
+      return out;
+    });
     const std::size_t logged = pw_log_.size();
     if (prof) {
       prof_->pw_log_entries = logged;
@@ -1418,8 +1405,9 @@ class Engine final : public IEngine {
       prof_->pebble_pairs_total += w_end - w_begin;
       lap(&StepProfile::mark_update_ns);
     }
+    w_log_.cut(w_end - w_begin);
     run_logged(
-        w_log_, w_end - w_begin,
+        w_log_,
         [&, w_begin = w_begin](std::size_t lo, std::size_t hi, Delta* out) {
           std::uint64_t pairs_scanned = 0, pairs_skipped = 0;
           for (std::size_t idx = lo; idx < hi; ++idx) {
@@ -1494,7 +1482,6 @@ class Engine final : public IEngine {
     prof_blocks_scanned_.store(0, std::memory_order_relaxed);
     prof_blocks_skipped_.store(0, std::memory_order_relaxed);
     prof_quads_scanned_.store(0, std::memory_order_relaxed);
-    prof_quads_skipped_.store(0, std::memory_order_relaxed);
     prof_quads_block_skipped_.store(0, std::memory_order_relaxed);
     prof_pairs_scanned_.store(0, std::memory_order_relaxed);
     prof_pairs_skipped_.store(0, std::memory_order_relaxed);
@@ -1516,8 +1503,6 @@ class Engine final : public IEngine {
         prof_blocks_skipped_.load(std::memory_order_relaxed);
     prof_->square_quads_scanned =
         prof_quads_scanned_.load(std::memory_order_relaxed);
-    prof_->square_quads_skipped =
-        prof_quads_skipped_.load(std::memory_order_relaxed);
     prof_->square_quads_block_skipped =
         prof_quads_block_skipped_.load(std::memory_order_relaxed);
     prof_->pebble_pairs_scanned =
@@ -1548,6 +1533,7 @@ class Engine final : public IEngine {
   // Write-log stepping state (fast engine only).
   WriteLog pw_log_;  ///< Indexed like `entries()`.
   WriteLog w_log_;   ///< Indexed like the pebble window of `pairs_`.
+  std::size_t panel_cells_ = 0;  ///< Largest root panel (`square_panel`).
 
   // Frontier state (frontier_enabled_ == true).
   bool frontier_enabled_ = false;
@@ -1557,16 +1543,15 @@ class Engine final : public IEngine {
   std::vector<Pair> frontier_;  ///< w entries moved by the last pebble.
   std::vector<std::uint8_t> w_moved_;
   std::vector<std::uint32_t> contained_;
-  // Root-major square sweep snapshots (maintained incrementally from the
+  // Root-major square sweep snapshot (maintained incrementally from the
   // moved-roots delta when sparse, rebuilt in parallel row/column passes
-  // when dense — see update_square_prefixes).
+  // when dense — see update_root_contained_counts).
   std::vector<std::uint8_t> root_mark_grid_;
   std::vector<std::uint32_t> root_contained_;
-  std::vector<std::uint32_t> mark_left_pre_;
-  std::vector<std::uint32_t> mark_right_pre_;
   // Incremental grid maintenance state: the dense list behind
   // `pw_root_moved_`, the mark sets the grids currently reflect, and the
-  // scratch delta list (see update_contained_counts / _square_prefixes).
+  // scratch delta list (see update_contained_counts /
+  // update_root_contained_counts).
   std::vector<std::uint32_t> moved_roots_;
   std::atomic<std::size_t> moved_roots_count_{0};
   std::vector<Pair> square_marks_;
@@ -1585,7 +1570,6 @@ class Engine final : public IEngine {
   std::atomic<std::uint64_t> prof_blocks_scanned_{0};
   std::atomic<std::uint64_t> prof_blocks_skipped_{0};
   std::atomic<std::uint64_t> prof_quads_scanned_{0};
-  std::atomic<std::uint64_t> prof_quads_skipped_{0};
   std::atomic<std::uint64_t> prof_quads_block_skipped_{0};
   std::atomic<std::uint64_t> prof_pairs_scanned_{0};
   std::atomic<std::uint64_t> prof_pairs_skipped_{0};

@@ -132,8 +132,8 @@ struct SublinearOptions {
 /// and phase times cover the fast engine's sweeps only — the reference
 /// engine leaves them zero (trivially consistent). Invariants asserted in
 /// tests:
-/// `square_quads_scanned + square_quads_skipped + square_quads_block_skipped
-/// == square_quads_total` and
+/// `square_quads_scanned + square_quads_block_skipped == square_quads_total`
+/// and
 /// `pebble_pairs_scanned + pebble_pairs_skipped == pebble_pairs_total`.
 struct StepProfile {
   std::size_t iteration = 0;  ///< 1-based, matching IterationTrace.
@@ -143,13 +143,13 @@ struct StepProfile {
   std::uint64_t total_split_sites = 0;
   bool activate_used_frontier = false;
   // a-square root-major sweep: whole root blocks skipped by the
-  // containment count vs scanned, and the quad-level breakdown.
+  // containment count vs computed (counted only in sweeps that apply the
+  // test), and the quads of computed vs skipped blocks (every sweep).
   std::uint64_t square_blocks_scanned = 0;
   std::uint64_t square_blocks_skipped = 0;
   std::uint64_t square_quads_total = 0;
-  std::uint64_t square_quads_scanned = 0;
-  std::uint64_t square_quads_skipped = 0;        ///< per-quad window test
-  std::uint64_t square_quads_block_skipped = 0;  ///< inside a skipped block
+  std::uint64_t square_quads_scanned = 0;        ///< in a computed block
+  std::uint64_t square_quads_block_skipped = 0;  ///< in a skipped block
   // a-pebble frontier sweep: pairs skipped by the gap-w mark test.
   std::uint64_t pebble_pairs_total = 0;
   std::uint64_t pebble_pairs_scanned = 0;
