@@ -7,10 +7,10 @@
 //  * `--json=<path>`: a machine-readable perf-trajectory sweep. For every
 //    instance family in bench/common.hpp and a ladder of sizes it times
 //    the solver end-to-end (checks off) on every available backend
-//    (serial, threads, and openmp when compiled in), for both engine
+//    (serial and threads), for both engine
 //    kinds (`core::EngineKind`): "reference" (copy-based double
 //    buffering, full instrumented sweeps) and "fast" (write logs,
-//    frontier-driven sweeps, cursor scans, incremental mark grids), across
+//    frontier-driven sweeps, cursor scans, containment-grid skips), across
 //    both pw layouts (banded ladder to n = 256, entries-indexed dense past
 //    the old 64 cube cap). Where both engines run, the sweep asserts their
 //    cost, iteration count and full w table are bit-identical before
@@ -124,8 +124,7 @@ void BM_Wavefront(benchmark::State& state) {
 }
 BENCHMARK(BM_Wavefront)
     ->Args({256, static_cast<int>(pram::Backend::kSerial)})
-    ->Args({256, static_cast<int>(pram::Backend::kThreadPool)})
-    ->Args({256, static_cast<int>(pram::Backend::kOpenMP)});
+    ->Args({256, static_cast<int>(pram::Backend::kThreadPool)});
 
 // range(2) selects the engine: 0 = reference, 1 = fast.
 void BM_SublinearBanded(benchmark::State& state) {
@@ -149,8 +148,7 @@ BENCHMARK(BM_SublinearBanded)
     ->Args({32, static_cast<int>(pram::Backend::kThreadPool), 1})
     ->Args({64, static_cast<int>(pram::Backend::kSerial), 0})
     ->Args({64, static_cast<int>(pram::Backend::kSerial), 1})
-    ->Args({64, static_cast<int>(pram::Backend::kThreadPool), 1})
-    ->Args({64, static_cast<int>(pram::Backend::kOpenMP), 1});
+    ->Args({64, static_cast<int>(pram::Backend::kThreadPool), 1});
 
 void BM_SublinearDense(benchmark::State& state) {
   const auto problem = make_chain(static_cast<std::size_t>(state.range(0)));
@@ -183,7 +181,7 @@ struct SweepRow {
   std::size_t n = 0;
   std::string variant;  // "banded" | "dense"
   std::string engine;   // "reference" | "fast"
-  std::string backend;  // "serial" | "threads" | "openmp"
+  std::string backend;  // "serial" | "threads"
   std::string mode = "single";  // | "service-parallel" | ...
   std::size_t instances = 1;    // problems timed in this row
   double wall_ms = 0.0;         // total across `instances`
@@ -771,13 +769,8 @@ void run_json_sweep(const std::string& path,
   // Entries-indexed dense: 96 is past the old 64 cube cap.
   const std::vector<LadderPoint> dense_ladder = {{48, true, true},
                                                  {96, false, false}};
-  std::vector<pram::Backend> backends = {pram::Backend::kSerial,
-                                         pram::Backend::kThreadPool};
-  if (pram::openmp_available()) {
-    backends.push_back(pram::Backend::kOpenMP);
-  } else {
-    std::printf("(openmp backend not compiled in; skipping its rows)\n");
-  }
+  const std::vector<pram::Backend> backends = {pram::Backend::kSerial,
+                                               pram::Backend::kThreadPool};
   std::vector<std::string> families = bench::instance_families();
   if (!family_filter.empty()) {
     families.clear();

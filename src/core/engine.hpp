@@ -82,14 +82,13 @@
 ///    stream their stored gaps as the layout's arithmetic-progression
 ///    `PwGapRun`s (`pebble_scan_fast`) instead of dereferencing the
 ///    general `get` per gap;
-///  * the containment grids behind both skip tests are maintained
-///    *incrementally*: each step diffs its moved-mark set against the
-///    marks standing in the grids and rank-updates only the affected
-///    rows/columns, falling back to the parallel from-scratch rebuild
-///    when the delta's touched-cell estimate reaches a full grid. The
-///    counts are integer sums over the same mark set either way, so they
-///    are bit-identical; debug builds assert the incremental result
-///    against the rebuild every step.
+///  * the containment grids behind both skip tests are rebuilt from
+///    scratch, once per step that needs them, on the thread that runs
+///    `iterate()`: the marks (the last pebble's frontier, the moved-roots
+///    list) are written as 1s into a zeroed count grid, which two
+///    unit-stride prefix passes turn into containment counts in place.
+///    A grid has at most `(n+1)^2` cells, too few to repay a dispatch
+///    to the pool.
 /// Monotonicity of both tables makes every skipped site provably a no-op
 /// (its candidates are unchanged and were already min-applied), so
 /// results, change counts and iteration schedules are identical to full
@@ -394,9 +393,7 @@ class Engine final : public IEngine {
       pw_root_moved_ =
           std::make_unique<std::atomic<std::uint8_t>[]>(pairs_.size());
       const std::size_t grid = (n_ + 1) * (n_ + 1);
-      w_moved_.assign(grid, 0);
       contained_.assign(grid, 0);
-      root_mark_grid_.assign(grid, 0);
       root_contained_.assign(grid, 0);
       frontier_.reserve(n_);
       moved_roots_.resize(pairs_.size());
@@ -515,14 +512,6 @@ class Engine final : public IEngine {
     }
   };
 
-  /// One mark entering (+1) or leaving (-1) a frontier grid between two
-  /// consecutive steps — the unit of the incremental grid maintenance.
-  struct MarkDelta {
-    std::uint32_t a = 0;
-    std::uint32_t b = 0;
-    std::int32_t add = 1;
-  };
-
   /// Per-instance (re)initialisation shared by the constructor and
   /// `reset`: base-row costs, iteration counter, and frontier marks.
   /// `fresh_tables` skips the flag clears that a fresh allocation has
@@ -544,12 +533,6 @@ class Engine final : public IEngine {
         }
       }
       moved_roots_count_.store(0, std::memory_order_relaxed);
-      // The grids hold a previous instance's marks (or none); force a full
-      // rebuild at the first step that needs them.
-      square_grids_valid_ = false;
-      pebble_grids_valid_ = false;
-      square_marks_.clear();
-      pebble_marks_.clear();
       square_frontier_ready_ = false;
       // The initial frontier: every base entry w(i, i+1) was just set.
       frontier_.clear();
@@ -852,259 +835,52 @@ class Engine final : public IEngine {
         });
   }
 
-  /// Parallel zero-fill of a mark grid (flat ranges are independent).
-  void clear_grid(std::vector<std::uint8_t>& grid) {
-    machine_.run_blocks(static_cast<std::int64_t>(grid.size()),
-                        [&](std::int64_t lo, std::int64_t hi) {
-                          std::fill(grid.begin() + lo, grid.begin() + hi,
-                                    std::uint8_t{0});
-                        });
-  }
-
-  /// 2-D containment counts over interval marks: `out(i,j)` = #marked
-  /// `(a,b)` with `i <= a < b <= j` (shared by the pebble's moved-w test
-  /// and the square's root-block test). Computed as a row-prefix pass
-  /// then a column-suffix pass — `out(i,j)` becomes the dominance count
-  /// #marked `(a,b)` with `a >= i, b <= j`, which equals the containment
-  /// count at every cell since marks only exist at `a < b`. Each pass is
-  /// parallel over independent rows / columns (this rebuild was the
-  /// root-major sweep's per-step serial O(n^2) bottleneck); every cell
-  /// has one owner, so the counts are bit-identical to the serial
-  /// inclusion-exclusion DP they replace, whatever the backend.
-  void accumulate_containment(const std::vector<std::uint8_t>& marks,
-                              std::vector<std::uint32_t>& out) {
+  /// Turns a grid of interval marks into 2-D containment counts, in place:
+  /// on entry `grid(a,b)` is 1 for each marked `(a,b)` and 0 elsewhere;
+  /// on return `grid(i,j)` = #marked `(a,b)` with `i <= a < b <= j`
+  /// (shared by the pebble's moved-w test and the square's root-block
+  /// test). A row-prefix pass then a column-suffix pass make `grid(i,j)`
+  /// the dominance count #marked `(a,b)` with `a >= i, b <= j`, which
+  /// equals the containment count at every cell since marks only exist
+  /// at `a < b`. The suffix pass adds row `i+1` into row `i` for `i`
+  /// descending, so both passes are unit-stride.
+  void prefix_containment(std::vector<std::uint32_t>& grid) const {
     const std::size_t stride = n_ + 1;
-    machine_.run_blocks(static_cast<std::int64_t>(n_ + 1),
-                        [&](std::int64_t lo, std::int64_t hi) {
-                          for (std::int64_t a = lo; a < hi; ++a) {
-                            const std::size_t row =
-                                static_cast<std::size_t>(a) * stride;
-                            std::uint32_t run = 0;
-                            for (std::size_t j = 0; j <= n_; ++j) {
-                              run += marks[row + j];
-                              out[row + j] = run;
-                            }
-                          }
-                        });
-    machine_.run_blocks(static_cast<std::int64_t>(n_ + 1),
-                        [&](std::int64_t lo, std::int64_t hi) {
-                          for (std::int64_t jj = lo; jj < hi; ++jj) {
-                            const std::size_t j =
-                                static_cast<std::size_t>(jj);
-                            for (std::size_t i = n_; i-- > 0;) {
-                              out[i * stride + j] +=
-                                  out[(i + 1) * stride + j];
-                            }
-                          }
-                        });
+    for (std::size_t i = 0; i <= n_; ++i) {
+      std::uint32_t* const row = grid.data() + i * stride;
+      for (std::size_t j = 1; j <= n_; ++j) row[j] += row[j - 1];
+    }
+    for (std::size_t i = n_; i-- > 0;) {
+      std::uint32_t* const row = grid.data() + i * stride;
+      const std::uint32_t* const below = row + stride;
+      for (std::size_t j = 0; j <= n_; ++j) row[j] += below[j];
+    }
   }
 
   /// Builds the 2-D containment counts of the last pebble's moved
   /// `w` entries: `contained_(i,j)` = #moved `(p,q)` with `i<=p<q<=j`.
   void build_contained_counts() {
-    clear_grid(w_moved_);
-    for (const Pair e : frontier_) w_moved_[e.i * (n_ + 1) + e.j] = 1;
-    accumulate_containment(w_moved_, contained_);
+    if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
+    std::fill(contained_.begin(), contained_.end(), std::uint32_t{0});
+    for (const Pair e : frontier_) contained_[e.i * (n_ + 1) + e.j] = 1;
+    prefix_containment(contained_);
   }
 
-  // ---- Incremental grid maintenance --------------------------------------
-  // The from-scratch builds above touch every grid cell each step. When
-  // few marks changed between steps, it is cheaper to diff the new mark
-  // set against the marks standing in the grids and rank-update only the
-  // cells a changed mark contributes to: mark `(a, b)` sits on grid cell
-  // `(a, b)` and counts toward the containment rectangle rows `0..a` from
-  // column `b` on. Both forms compute the same integer sums over the same
-  // mark set, so the counts are bit-identical; `update_*` picks the
-  // cheaper form via a touched-cell estimate and debug builds assert the
-  // incremental result against the rebuild.
-
-  /// True when applying `deltas` incrementally would touch at least a
-  /// full grid's worth of cells — the from-scratch rebuild is no slower
-  /// then.
-  [[nodiscard]] bool delta_is_dense(
-      const std::vector<MarkDelta>& deltas) const {
-    const std::uint64_t stride = n_ + 1;
-    const std::uint64_t full = stride * stride;
-    // Every row worker scans the whole delta list once.
-    std::uint64_t touched = stride * deltas.size();
-    for (const MarkDelta d : deltas) {
-      touched += static_cast<std::uint64_t>(d.a + 1) * (stride - d.b);
-      if (touched >= full) return true;
-    }
-    return touched >= full;
-  }
-
-  /// One parallel pass applying a mark-set delta to a mark grid and its
-  /// containment counts. Ownership is by row index, so every cell keeps
-  /// one writer whatever the backend: mark `(a,b)` updates `marks` on row
-  /// `a` and the containment rectangle rows `0..a` from column `b` on.
-  void apply_mark_delta(const std::vector<MarkDelta>& deltas,
-                        std::vector<std::uint8_t>& marks,
-                        std::vector<std::uint32_t>& counts) {
-    if (deltas.empty()) return;
-    const std::size_t stride = n_ + 1;
-    machine_.run_blocks(
-        static_cast<std::int64_t>(n_ + 1),
-        [&](std::int64_t lo64, std::int64_t hi64) {
-          const std::size_t lo = static_cast<std::size_t>(lo64);
-          const std::size_t hi = static_cast<std::size_t>(hi64);
-          for (const MarkDelta d : deltas) {
-            const std::size_t a = d.a;
-            const std::size_t b = d.b;
-            // Unsigned wraparound of -1 subtracts correctly.
-            const std::uint32_t add = static_cast<std::uint32_t>(d.add);
-            if (a >= lo && a < hi) {
-              marks[a * stride + b] = static_cast<std::uint8_t>(d.add > 0);
-            }
-            const std::size_t row_hi = a + 1 < hi ? a + 1 : hi;
-            for (std::size_t r = lo; r < row_hi; ++r) {
-              std::uint32_t* row = counts.data() + r * stride;
-              for (std::size_t c = b; c <= n_; ++c) row[c] += add;
-            }
-          }
-        });
-  }
-
-#ifndef NDEBUG
-  /// Debug cross-checks: the incrementally maintained grids must equal
-  /// the from-scratch rebuild (which is left in place — it is identical).
-  void verify_contained_counts() {
-    const std::vector<std::uint8_t> marks = w_moved_;
-    const std::vector<std::uint32_t> counts = contained_;
-    build_contained_counts();
-    SUBDP_ASSERT(marks == w_moved_);
-    SUBDP_ASSERT(counts == contained_);
-  }
-
-  void verify_root_contained_counts() {
-    const std::vector<std::uint8_t> marks = root_mark_grid_;
-    const std::vector<std::uint32_t> counts = root_contained_;
-    build_root_contained_counts();
-    SUBDP_ASSERT(marks == root_mark_grid_);
-    SUBDP_ASSERT(counts == root_contained_);
-  }
-#endif
-
-  /// Brings `w_moved_` / `contained_` up to the current `frontier_`:
-  /// incremental rank updates when the diff against the standing marks
-  /// (`pebble_marks_`) is sparse, from-scratch rebuild when dense or when
-  /// no valid grid state exists yet (first pebble, post-reset).
-  void update_contained_counts() {
-    if (!pebble_grids_valid_) {
-      if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
-      build_contained_counts();
-      pebble_marks_.assign(frontier_.begin(), frontier_.end());
-      pebble_grids_valid_ = true;
-      return;
-    }
-    const std::size_t stride = n_ + 1;
-    // Diff through the mark grid itself: a persisting mark's cell is
-    // flagged 2 transiently so the erase scan can tell it from a true
-    // removal, then restored. Both lists are duplicate-free.
-    mark_delta_.clear();
-    for (const Pair e : frontier_) {
-      std::uint8_t& cell = w_moved_[e.i * stride + e.j];
-      if (cell != 0) {
-        cell = 2;
-      } else {
-        mark_delta_.push_back(MarkDelta{e.i, e.j, +1});
-      }
-    }
-    for (const Pair m : pebble_marks_) {
-      std::uint8_t& cell = w_moved_[m.i * stride + m.j];
-      if (cell == 2) {
-        cell = 1;
-      } else {
-        mark_delta_.push_back(MarkDelta{m.i, m.j, -1});
-      }
-    }
-    if (delta_is_dense(mark_delta_)) {
-      if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
-      build_contained_counts();  // clears the transient flags with the rest
-      pebble_marks_.assign(frontier_.begin(), frontier_.end());
-      return;
-    }
-    if (prof_ != nullptr) ++prof_->mark_updates_incremental;
-    apply_mark_delta(mark_delta_, w_moved_, contained_);
-    pebble_marks_.assign(frontier_.begin(), frontier_.end());
-#ifndef NDEBUG
-    verify_contained_counts();
-#endif
-  }
-
-  /// Snapshots `pw_root_moved_` into grid form for the root-major square
-  /// sweep: `root_contained_(i,j)` = #moved roots inside `(i,j)`, the
-  /// whole-block skip test. Both stages run parallel over their
-  /// independent unit — mark cells, then rows/columns of the counts.
+  /// Builds the root-major square sweep's whole-block skip test from the
+  /// moved-roots list: `root_contained_(i,j)` = #moved roots inside
+  /// `(i,j)`.
   void build_root_contained_counts() {
+    if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
     const std::size_t stride = n_ + 1;
-    clear_grid(root_mark_grid_);
-    machine_.run_blocks(
-        static_cast<std::int64_t>(pairs_.size()),
-        [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t k = lo; k < hi; ++k) {
-            if (pw_root_moved_[static_cast<std::size_t>(k)].load(
-                    std::memory_order_relaxed) != 0) {
-              const Pair pr = pairs_[static_cast<std::size_t>(k)];
-              root_mark_grid_[pr.i * stride + pr.j] = 1;  // distinct cells
-            }
-          }
-        });
-    accumulate_containment(root_mark_grid_, root_contained_);
-  }
-
-  /// Records the mark set now standing in the square grids: exactly the
-  /// roots on the moved-roots list (`pw_root_moved_` is its bitmap).
-  void capture_square_marks() {
-    const std::size_t moved =
-        moved_roots_count_.load(std::memory_order_relaxed);
-    square_marks_.clear();
-    for (std::size_t k = 0; k < moved; ++k) {
-      square_marks_.push_back(pairs_[moved_roots_[k]]);
-    }
-    square_grids_valid_ = true;
-  }
-
-  /// Brings the square grids up to the current moved-roots set; see
-  /// `update_contained_counts` for the scheme. No transient flagging is
-  /// needed here: `root_mark_grid_` answers membership for additions and
-  /// `pw_root_moved_` (still set — the square apply clears it later) for
-  /// removals.
-  void update_root_contained_counts() {
-    if (!square_grids_valid_) {
-      if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
-      build_root_contained_counts();
-      capture_square_marks();
-      return;
-    }
-    const std::size_t stride = n_ + 1;
-    mark_delta_.clear();
+    std::fill(root_contained_.begin(), root_contained_.end(),
+              std::uint32_t{0});
     const std::size_t moved =
         moved_roots_count_.load(std::memory_order_relaxed);
     for (std::size_t k = 0; k < moved; ++k) {
       const Pair pr = pairs_[moved_roots_[k]];
-      if (root_mark_grid_[pr.i * stride + pr.j] == 0) {
-        mark_delta_.push_back(MarkDelta{pr.i, pr.j, +1});
-      }
+      root_contained_[pr.i * stride + pr.j] = 1;
     }
-    for (const Pair m : square_marks_) {
-      if (pw_root_moved_[pair_index(m.i, m.j)].load(
-              std::memory_order_relaxed) == 0) {
-        mark_delta_.push_back(MarkDelta{m.i, m.j, -1});
-      }
-    }
-    if (delta_is_dense(mark_delta_)) {
-      if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
-      build_root_contained_counts();
-      capture_square_marks();
-      return;
-    }
-    if (prof_ != nullptr) ++prof_->mark_updates_incremental;
-    apply_mark_delta(mark_delta_, root_mark_grid_, root_contained_);
-    capture_square_marks();
-#ifndef NDEBUG
-    verify_root_contained_counts();
-#endif
+    prefix_containment(root_contained_);
   }
 
   /// Hoisted root-block test: true iff any moved root lies inside `(i,j)`
@@ -1125,9 +901,11 @@ class Engine final : public IEngine {
 
   /// True iff some moved `w(p,q)` is a proper sub-interval of `(i,j)` —
   /// i.e. a (potential) stored gap whose weight the last pebble changed.
+  /// Every proper sub-interval of `(i,j)` starts after `i` or ends before
+  /// `j`, so it lies inside `(i+1,j)` or `(i,j-1)`.
   [[nodiscard]] bool gap_w_moved(std::size_t i, std::size_t j) const {
     const std::size_t at = i * (n_ + 1) + j;
-    return contained_[at] > w_moved_[at];
+    return contained_[at + n_ + 1] != 0 || contained_[at - 1] != 0;
   }
 
   // ---- Step drivers ------------------------------------------------------
@@ -1259,7 +1037,7 @@ class Engine final : public IEngine {
     // containment test proves clean.
     const bool hlv = options_.square_mode == SquareMode::kHlvOneLevel;
     const bool skip_clean = frontier_enabled_ && square_frontier_ready_ && hlv;
-    if (skip_clean) update_root_contained_counts();
+    if (skip_clean) build_root_contained_counts();
     const bool prof = prof_ != nullptr;
     if (prof) {
       prof_->square_quads_total += quads.size();
@@ -1399,7 +1177,7 @@ class Engine final : public IEngine {
     }
 
     const bool use_frontier = frontier_enabled_;
-    if (use_frontier) update_contained_counts();
+    if (use_frontier) build_contained_counts();
     const bool prof = prof_ != nullptr;
     if (prof) {
       prof_->pebble_pairs_total += w_end - w_begin;
@@ -1541,24 +1319,11 @@ class Engine final : public IEngine {
   std::unique_ptr<std::atomic<std::uint8_t>[]> root_dirty_;
   std::unique_ptr<std::atomic<std::uint8_t>[]> pw_root_moved_;
   std::vector<Pair> frontier_;  ///< w entries moved by the last pebble.
-  std::vector<std::uint8_t> w_moved_;
-  std::vector<std::uint32_t> contained_;
-  // Root-major square sweep snapshot (maintained incrementally from the
-  // moved-roots delta when sparse, rebuilt in parallel row/column passes
-  // when dense — see update_root_contained_counts).
-  std::vector<std::uint8_t> root_mark_grid_;
-  std::vector<std::uint32_t> root_contained_;
-  // Incremental grid maintenance state: the dense list behind
-  // `pw_root_moved_`, the mark sets the grids currently reflect, and the
-  // scratch delta list (see update_contained_counts /
-  // update_root_contained_counts).
+  std::vector<std::uint32_t> contained_;  ///< Over `frontier_`.
+  std::vector<std::uint32_t> root_contained_;  ///< Over `moved_roots_`.
+  // The dense list behind `pw_root_moved_` (see mark_root_dirty).
   std::vector<std::uint32_t> moved_roots_;
   std::atomic<std::size_t> moved_roots_count_{0};
-  std::vector<Pair> square_marks_;
-  std::vector<Pair> pebble_marks_;
-  std::vector<MarkDelta> mark_delta_;
-  bool square_grids_valid_ = false;
-  bool pebble_grids_valid_ = false;
 
   // Profiling state (see begin_profile / end_profile above). `prof_` is
   // non-null only inside a profiled iterate(); every hot-path counter

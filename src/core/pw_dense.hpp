@@ -190,14 +190,6 @@ class DensePwTable {
     return layout_->flat(i, j, p, q);
   }
 
-  /// Unchecked slot of a stored entry (dense stores everything, so every
-  /// non-identity quadruple is "in band"). No branches.
-  [[nodiscard]] std::size_t in_band_slot(std::size_t i, std::size_t j,
-                                         std::size_t p, std::size_t q) const {
-    SUBDP_ASSERT(stores(i, j, p, q));
-    return layout_->flat(i, j, p, q);
-  }
-
   /// Incremental reader over `pw'(i,j,r,q)` for ascending `r` starting at
   /// `r0` (the HLV r-window's first operand): the triangle offset grows by
   /// `len - a - 1` per step, shrinking by one each time.

@@ -16,9 +16,6 @@
 /// *unchecked in-band read machinery* the fast-path square kernel is built
 /// on:
 ///
-///  * `in_band_slot(i,j,p,q)` — the raw cell index of an entry known to be
-///    stored in band, computed branch-free (no identity test, no slack
-///    test, no child-gap fallback);
 ///  * `r_window_cursor` / `s_window_cursor` — incremental readers along
 ///    the HLV windows. In every layout the slot of `pw'(i,j,r,q)` for
 ///    ascending `r` (and of `pw'(i,j,p,s)` for ascending `s`) advances by
@@ -155,7 +152,6 @@ concept PwStoragePolicy =
       { c.stores(z, z, z, z) } -> std::same_as<bool>;
       { c.address(z, z, z, z) } -> std::same_as<std::uint64_t>;
       { c.entry_slot(z, z, z, z) } -> std::same_as<std::size_t>;
-      { c.in_band_slot(z, z, z, z) } -> std::same_as<std::size_t>;
       { c.r_window_cursor(z, z, z, z) } -> std::same_as<PwWindowCursor>;
       { c.s_window_cursor(z, z, z, z) } -> std::same_as<PwWindowCursor>;
       { t.raw_cells() } noexcept -> std::same_as<Cost*>;

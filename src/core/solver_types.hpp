@@ -154,8 +154,10 @@ struct StepProfile {
   std::uint64_t pebble_pairs_total = 0;
   std::uint64_t pebble_pairs_scanned = 0;
   std::uint64_t pebble_pairs_skipped = 0;
-  // Incremental mark-grid maintenance: delta applications vs full
-  // parallel rebuilds (density fallback or invalidated grids).
+  // Mark-grid builds: every step that needs a containment grid rebuilds
+  // it from scratch, so `mark_updates_rebuilt` counts them all and
+  // `mark_updates_incremental` is always 0. Both stay only because the
+  // repository benchmark (perfbench) reads them.
   std::uint64_t mark_updates_incremental = 0;
   std::uint64_t mark_updates_rebuilt = 0;
   // Delta-buffer write-log sizes (entries applied after the barrier).

@@ -4,10 +4,10 @@
 /// Execution backends for PRAM step emulation.
 ///
 /// A CREW PRAM step "for all x in parallel do ..." is *executed* on the host
-/// by one of three interchangeable backends. Results are identical across
-/// backends by construction (each logical processor owns its output cell),
-/// which the test suite verifies; accounting (see `CostModel`) is
-/// backend-independent.
+/// by one of two interchangeable backends: a plain loop or the shared
+/// thread pool. Results are identical across backends by construction
+/// (each logical processor owns its output cell), which the test suite
+/// verifies; accounting (see `CostModel`) is backend-independent.
 
 #include <optional>
 #include <string>
@@ -18,27 +18,25 @@ namespace subdp::pram {
 enum class Backend {
   kSerial,      ///< Plain loop; reference semantics, useful for debugging.
   kThreadPool,  ///< Persistent std::thread pool (subdp's own fork-join).
-  kOpenMP,      ///< `#pragma omp parallel for` (falls back to serial if
-                ///< OpenMP was disabled at configure time).
 };
 
-/// Human-readable backend name ("serial", "threads", "openmp").
+/// Human-readable backend name ("serial", "threads").
 [[nodiscard]] const char* to_string(Backend backend) noexcept;
 
 /// Parses a backend name; accepts the strings produced by `to_string`.
 [[nodiscard]] std::optional<Backend> backend_from_string(
     const std::string& name) noexcept;
 
-/// True if OpenMP support was compiled in.
+/// Always false: the library has no OpenMP backend. Kept only because the
+/// repository benchmark (`perfbench/main.cpp`) prints it in its metadata.
 [[nodiscard]] bool openmp_available() noexcept;
 
 /// The preferred backend on this build (thread pool; it is always available).
 [[nodiscard]] Backend default_backend() noexcept;
 
 /// Host threads a parallel loop on `backend` executes across: 1 for
-/// serial, the shared pool's parallelism for the thread pool, OpenMP's
-/// max thread count when compiled in (bench rows record this so runs
-/// from differently-sized hosts stay distinguishable).
+/// serial, the shared pool's parallelism for the thread pool (bench rows
+/// record this so runs from differently-sized hosts stay distinguishable).
 [[nodiscard]] unsigned backend_parallelism(Backend backend) noexcept;
 
 }  // namespace subdp::pram

@@ -18,35 +18,7 @@
 #include "pram/backend.hpp"
 #include "pram/thread_pool.hpp"
 
-#ifdef SUBDP_HAVE_OPENMP
-#include <omp.h>
-
-#include <algorithm>
-#endif
-
 namespace subdp::pram {
-
-#ifdef SUBDP_HAVE_OPENMP
-namespace detail {
-template <class BlockBody>
-void openmp_for_blocked(std::int64_t begin, std::int64_t end,
-                        std::int64_t grain, BlockBody&& body) {
-  const std::int64_t n = end - begin;
-  if (grain <= 0) {
-    const auto threads = static_cast<std::int64_t>(omp_get_max_threads());
-    grain =
-        std::max<std::int64_t>(1, n / std::max<std::int64_t>(1, threads * 8));
-  }
-  const std::int64_t blocks = (n + grain - 1) / grain;
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::int64_t b = 0; b < blocks; ++b) {
-    const std::int64_t lo = begin + b * grain;
-    const std::int64_t hi = std::min(lo + grain, end);
-    body(lo, hi);
-  }
-}
-}  // namespace detail
-#endif
 
 /// Runs `body(block_begin, block_end)` over `[begin, end)` on `backend`.
 /// `grain` caps the block size (0 = automatic).
@@ -62,14 +34,6 @@ void parallel_for_blocked(Backend backend, std::int64_t begin,
     case Backend::kThreadPool:
       ThreadPool::shared().parallel_for(begin, end, grain,
                                         std::forward<BlockBody>(body));
-      return;
-    case Backend::kOpenMP:
-#ifdef SUBDP_HAVE_OPENMP
-      detail::openmp_for_blocked(begin, end, grain,
-                                 std::forward<BlockBody>(body));
-#else
-      body(begin, end);  // graceful fallback when OpenMP is compiled out
-#endif
       return;
   }
 }

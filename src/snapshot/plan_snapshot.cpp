@@ -87,6 +87,8 @@ void fill_key(SnapshotHeader& h, std::size_t n,
   h.termination = static_cast<std::uint8_t>(o.termination);
   h.windowed_pebble = o.windowed_pebble ? 1 : 0;
   h.engine = static_cast<std::uint8_t>(o.engine);
+  // 0 = serial, 1 = threads. A file from a build that still had the
+  // OpenMP backend (2) matches no request key, so it is rebuilt.
   h.backend = static_cast<std::uint8_t>(o.machine.backend);
   h.check_crew = o.machine.check_crew ? 1 : 0;
 }

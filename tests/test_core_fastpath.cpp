@@ -1,12 +1,11 @@
 // Equivalence tests for the two iteration engines (core/engine.hpp): the
 // fast engine (write-log stepping, frontier-driven sweeps, cursor pebble
-// scans, incremental mark grids) must produce output identical to the
+// scans, containment-grid skip tests) must produce output identical to the
 // reference engine (copy-and-swap stepping, full instrumented sweeps) —
 // the same w table, cost, iteration count, and per-iteration change
 // counts — across every instance family in bench/common.hpp, both
-// pw-table layouts, serial, thread-pool and OpenMP execution (each cuts
-// the write logs into its own segments), with per-step profiling on or
-// off.
+// pw-table layouts, serial and thread-pool execution (each cuts the
+// write logs into its own segments), with per-step profiling on or off.
 
 #include <gtest/gtest.h>
 
@@ -66,12 +65,11 @@ EngineConfig reference_config() {
   return {"reference,serial", EngineKind::kReference, pram::Backend::kSerial};
 }
 
-// The fast engine in five setups, plus the reference engine on threads.
+// The fast engine in four setups, plus the reference engine on threads.
 std::vector<EngineConfig> variant_configs() {
   return {
       {"fast,serial", EngineKind::kFast, pram::Backend::kSerial},
       {"fast,threads", EngineKind::kFast, pram::Backend::kThreadPool},
-      {"fast,openmp", EngineKind::kFast, pram::Backend::kOpenMP},
       {"fast,serial,profiled", EngineKind::kFast, pram::Backend::kSerial,
        true},
       {"fast,threads,profiled", EngineKind::kFast, pram::Backend::kThreadPool,

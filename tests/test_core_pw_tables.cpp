@@ -1,9 +1,9 @@
 // Tests for the two pw-table layouts (core/pw_dense.hpp,
 // core/pw_banded.hpp): addressing, band semantics, the Sec. 5 cell-count
 // reduction, dense/banded agreement inside the band, and the
-// storage-policy surface (pw_layout.hpp) — overflow-checked sizing,
-// unchecked in-band slots, and the incremental window cursors the engine's
-// fast square kernel reads through.
+// storage-policy surface (pw_layout.hpp) — overflow-checked sizing and
+// the incremental window cursors the engine's fast square kernel reads
+// through.
 
 #include <gtest/gtest.h>
 
@@ -99,7 +99,6 @@ TEST(DensePwTable, AddressingIsInjectiveAndInBounds) {
           EXPECT_TRUE(seen.insert(addr).second)
               << "(" << i << "," << j << "," << p << "," << q << ")";
           EXPECT_EQ(t.entry_slot(i, j, p, q), addr);
-          EXPECT_EQ(t.in_band_slot(i, j, p, q), addr);
         }
       }
     }
@@ -130,10 +129,12 @@ TEST(PwLayout, CheckedSizeArithmeticThrowsInsteadOfWrapping) {
   EXPECT_THROW((void)checked_size_add(kMax, 1), std::invalid_argument);
 }
 
-// ---- Window cursors / unchecked in-band reads ----
+// ---- Window cursors ----
 
-/// Replicates the engine's HLV window and walks both cursors plus the
-/// second-operand `in_band_slot` reads, comparing every value against the
+/// Replicates the engine's HLV window and walks both first-operand
+/// cursors, plus the second-operand streams the root-panel kernel reads
+/// (`r_window_cursor(r, q, r+1, q)` over `p`, `s_window_cursor(p, s, p,
+/// q)` over the targets' right ends), comparing every value against the
 /// general `get`. Exercised for both layouts below.
 template <class Table>
 void expect_cursors_match_get(Table& t) {
@@ -152,7 +153,6 @@ void expect_cursors_match_get(Table& t) {
       }
     }
   }
-  const Cost* raw = std::as_const(t).raw_cells();
   for (const Quad& e : t.entries()) {
     const std::size_t i = e.i, j = e.j, p = e.p, q = e.q;
     const std::size_t r_lo = p > maxs && p - maxs > i ? p - maxs : i;
@@ -165,8 +165,13 @@ void expect_cursors_match_get(Table& t) {
         ASSERT_EQ(cur.value(), t.get(i, j, r, q))
             << "r-cursor (" << i << "," << j << "," << r << "," << q << ")";
         cur.advance();
-        ASSERT_EQ(raw[t.in_band_slot(r, q, p, q)], t.get(r, q, p, q))
-            << "r-slot (" << r << "," << q << "," << p << "," << q << ")";
+        PwWindowCursor second = t.r_window_cursor(r, q, r + 1, q);
+        for (std::size_t pp = r + 1; pp <= p; ++pp) {
+          ASSERT_EQ(second.value(), t.get(r, q, pp, q))
+              << "r-second (" << r << "," << q << "," << pp << "," << q
+              << ")";
+          second.advance();
+        }
       }
     }
     std::size_t s_end = s_hi;
@@ -177,8 +182,13 @@ void expect_cursors_match_get(Table& t) {
         ASSERT_EQ(cur.value(), t.get(i, j, p, s))
             << "s-cursor (" << i << "," << j << "," << p << "," << s << ")";
         cur.advance();
-        ASSERT_EQ(raw[t.in_band_slot(p, s, p, q)], t.get(p, s, p, q))
-            << "s-slot (" << p << "," << s << "," << p << "," << q << ")";
+        PwWindowCursor second = t.s_window_cursor(p, s, p, q);
+        for (std::size_t qq = q; qq < s; ++qq) {
+          ASSERT_EQ(second.value(), t.get(p, s, p, qq))
+              << "s-second (" << p << "," << s << "," << p << "," << qq
+              << ")";
+          second.advance();
+        }
       }
     }
   }

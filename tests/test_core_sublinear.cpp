@@ -93,8 +93,7 @@ std::vector<SolverParam> equality_params() {
     }
   }
   // Backend cross-product on one representative configuration.
-  for (const auto b : {pram::Backend::kSerial, pram::Backend::kThreadPool,
-                       pram::Backend::kOpenMP}) {
+  for (const auto b : {pram::Backend::kSerial, pram::Backend::kThreadPool}) {
     params.push_back({"matrix-chain", 24, PwVariant::kBanded, b});
   }
   return params;
@@ -120,8 +119,7 @@ TEST(Sublinear, BackendsProduceIdenticalTraces) {
   support::Rng rng(61);
   const auto p = dp::MatrixChainProblem::random(20, rng);
   std::vector<SublinearResult> results;
-  for (const auto b : {pram::Backend::kSerial, pram::Backend::kThreadPool,
-                       pram::Backend::kOpenMP}) {
+  for (const auto b : {pram::Backend::kSerial, pram::Backend::kThreadPool}) {
     SublinearOptions options;
     options.machine.backend = b;
     SublinearSolver solver(options);

@@ -86,7 +86,7 @@ TEST_P(FuzzTest, AllSolversAgree) {
   // Wavefront on a random backend.
   {
     pram::MachineOptions mopts;
-    mopts.backend = static_cast<pram::Backend>(rng.uniform_int(0, 2));
+    mopts.backend = static_cast<pram::Backend>(rng.uniform_int(0, 1));
     pram::Machine machine(mopts);
     ASSERT_EQ(dp::solve_wavefront(*problem, machine).cost, expected.cost);
   }
@@ -96,7 +96,7 @@ TEST_P(FuzzTest, AllSolversAgree) {
   options.variant = rng.bernoulli(0.5) ? core::PwVariant::kBanded
                                        : core::PwVariant::kDense;
   options.machine.backend =
-      static_cast<pram::Backend>(rng.uniform_int(0, 2));
+      static_cast<pram::Backend>(rng.uniform_int(0, 1));
   switch (rng.uniform_int(0, 2)) {
     case 0:
       options.termination = core::TerminationMode::kFixedBound;
